@@ -37,6 +37,7 @@ from .mzv import (
 from .partitions import Partition, SkewShape
 from .rootzeta import (
     RootZetaArgs,
+    _det,
     eval_zeta_A,
     eval_zeta_H,
     eval_zeta_bullet,
@@ -44,6 +45,7 @@ from .rootzeta import (
 )
 from .schur import (
     VariableTableau,
+    _eval_schur_by_definition,
     antihook_tableau,
     eval_schur,
     eval_schur_truncated,
@@ -330,7 +332,6 @@ def _run_expand(spec: JobSpec) -> dict:
 def _giambelli_matrix_value(lam: Partition, content: dict, cfg: TruncationConfig):
     """Determinant of the hook-shape Schur values, by direct tableau sums."""
     grid = giambelli_det_expr(lam)
-    n = len(grid)
     exact = cfg.is_exact
     vals = [
         [
@@ -341,17 +342,7 @@ def _giambelli_matrix_value(lam: Partition, content: dict, cfg: TruncationConfig
         ]
         for row in grid
     ]
-
-    def det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        total = 0
-        for h in range(len(mat)):
-            minor = [row[:-1] for r, row in enumerate(mat) if r != h]
-            total += (-1) ** (h + 1 + len(mat)) * mat[h][-1] * det(minor)
-        return total
-
-    return det(vals)
+    return _det(vals)
 
 
 def _run_verify(spec: JobSpec) -> dict:
@@ -363,9 +354,10 @@ def _run_verify(spec: JobSpec) -> dict:
     content = _parse_content(params.get("content") or {})
 
     def schur_value(vt: VariableTableau):
+        # summed over tableaux: eval_schur's closed forms are what is checked
         if cfg.is_exact:
             return eval_schur_truncated(vt, cfg.M), 0.0
-        res = eval_schur(vt, cfg)
+        res = _eval_schur_by_definition(vt, cfg)
         return res.value, res.tail_bound or 0.0
 
     def make_sides():
@@ -556,17 +548,19 @@ def build_parser() -> _Parser:
 
 
 def _spec_from_namespace(ns) -> JobSpec:
-    cfg = TruncationConfig(
-        M=ns.M if ns.M is not None else _env("M", DEFAULTS["M"], int),
-        mode=(
-            "exact"
-            if getattr(ns, "exact", False)
-            else ns.mode if ns.mode is not None else _env("MODE", DEFAULTS["mode"], str)
-        ),
-        tolerance=(
-            ns.tolerance if ns.tolerance is not None else _env("TOLERANCE", DEFAULTS["tolerance"], float)
-        ),
+    M = ns.M if ns.M is not None else _env("M", DEFAULTS["M"], int)
+    mode = (
+        "exact"
+        if getattr(ns, "exact", False)
+        else ns.mode if ns.mode is not None else _env("MODE", DEFAULTS["mode"], str)
     )
+    tolerance = (
+        ns.tolerance if ns.tolerance is not None else _env("TOLERANCE", DEFAULTS["tolerance"], float)
+    )
+    try:
+        cfg = TruncationConfig(M=M, mode=mode, tolerance=tolerance)
+    except ValueError as err:
+        raise UsageError(f"bad cfg: {err}") from None
     output = ns.format if ns.format is not None else _env("FORMAT", DEFAULTS["format"], str)
     threads = ns.threads if ns.threads is not None else _env("THREADS", DEFAULTS["threads"], int)
     params: dict = {}
@@ -628,7 +622,14 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         if ns.command == "job":
-            text = sys.stdin.read() if ns.file == "-" else open(ns.file).read()
+            try:
+                if ns.file == "-":
+                    text = sys.stdin.read()
+                else:
+                    with open(ns.file) as fh:
+                        text = fh.read()
+            except (OSError, UnicodeDecodeError) as err:
+                raise UsageError(f"cannot read job file: {err}") from None
             try:
                 data = json.loads(text)
             except json.JSONDecodeError as err:

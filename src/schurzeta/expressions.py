@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .mzv import (
     ConvergenceError,
     ContentAssignment,
@@ -29,7 +27,7 @@ from .mzv import (
     exact_exponent,
 )
 from .partitions import Partition
-from .rootzeta import shifted_chain_table
+from .rootzeta import chain_determinant
 
 
 @dataclass(frozen=True)
@@ -365,8 +363,9 @@ def eval_thm42(
     """The root-system series form of the Schur sum: an N-fold sum over the
     diagonal entries m_kk <= M weighted by m^(-z_0), with one weak shifted
     chain (arm) and one strict shifted chain (leg) per slot, signed over
-    permutations. Chains share the bound M with the outer sum, so every
-    running value stays <= M.
+    permutations: the determinant rootzeta.chain_determinant takes.
+    Chains share the bound M with the outer sum, so every running value
+    stays <= M.
     """
     if not isinstance(assignment, ContentAssignment):
         assignment = ContentAssignment(assignment)
@@ -387,42 +386,8 @@ def eval_thm42(
     exact = exact_exponent(z0) is not None and all(
         exact_exponent(v) is not None for vals in (*plus.values(), *minus.values()) for v in vals
     )
-
-    def value_at(bound: int):
-        btab = {pk: shifted_chain_table(vals, bound, weak=True, exact=exact) for pk, vals in plus.items()}
-        htab = {qj: shifted_chain_table(vals, bound, weak=False, exact=exact) for qj, vals in minus.items()}
-        # the summand splits per diagonal slot j, pairing the leg chain q_j
-        # with the arm chain p_k for the k that sigma sends to j
-        pair: dict[tuple[int, int], Number] = {}
-
-        def paired(qj: int, pk: int):
-            if (qj, pk) not in pair:
-                if exact:
-                    e = exact_exponent(z0)
-                    pair[(qj, pk)] = sum(
-                        (htab[qj][m] * btab[pk][m] / m**e for m in range(1, bound + 1)),
-                        Fraction(0),
-                    )
-                else:
-                    m = np.arange(1.0, bound + 1.0)
-                    zc = complex(z0)
-                    w = np.exp(-zc * np.log(m)) if zc.imag else m ** (-zc.real)
-                    pair[(qj, pk)] = (
-                        w * np.asarray(htab[qj])[1 : bound + 1] * np.asarray(btab[pk])[1 : bound + 1]
-                    ).sum()
-            return pair[(qj, pk)]
-
-        total = Fraction(0) if exact else 0.0
-        for sigma in permutations(range(f.n)):
-            term = Fraction(_perm_sign(sigma)) if exact else float(_perm_sign(sigma))
-            for j in range(f.n):
-                k = sigma.index(j)
-                term = term * paired(f.q[j], f.p[k])
-            total = total + term
-        return total
-
-    v1 = value_at(M)
-    v2 = value_at(2 * M)
+    v1 = chain_determinant(f, assignment, M, exact)
+    v2 = chain_determinant(f, assignment, 2 * M, exact)
     estimate = 2.0 * abs(complex(v2) - complex(v1))
     value = v1
     if not exact and isinstance(value, complex) and value.imag == 0:

@@ -57,7 +57,8 @@ class EvalResult:
 
     tail_bound is None in exact mode (the value is exact for the truncated
     sum). heuristic marks estimates that are consistency checks rather than
-    proved bounds.
+    proved bounds. path names the evaluation route, where an evaluator has
+    more than one.
     """
 
     value: Number
@@ -65,15 +66,19 @@ class EvalResult:
     truncation: int
     heuristic: bool = False
     note: str = ""
+    path: str = ""
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "value": value_to_json(self.value),
             "tail_bound": self.tail_bound,
             "truncation": self.truncation,
             "heuristic": self.heuristic,
             "note": self.note,
         }
+        if self.path:
+            out["path"] = self.path
+        return out
 
 
 def value_to_json(v: Number):
@@ -192,16 +197,26 @@ def _truncated_float(s: Sequence[Number], M: int, star: bool) -> float | complex
     return complex(total) if np.iscomplexobj(A) else float(total)
 
 
-def eval_ez_truncated(s: Sequence[Number], M: int, star: bool = False) -> Number:
-    """The finite sum with m_r <= M; exact Fraction when all exponents are
-    non-negative integers, double precision otherwise."""
+def eval_ez_truncated(
+    s: Sequence[Number], M: int, star: bool = False, exact: bool | None = None
+) -> Number:
+    """The finite sum with m_r <= M.
+
+    exact=None gives an exact Fraction when all exponents are non-negative
+    integers and double precision otherwise; exact=False forces double
+    precision.
+    """
     s = tuple(s)
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not s:
-        return Fraction(1)
     ints = [exact_exponent(v) for v in s]
-    if all(v is not None for v in ints):
+    if exact is None:
+        exact = None not in ints
+    if not s:
+        return Fraction(1) if exact else 1.0
+    if exact:
+        if None in ints:
+            raise ValueError("exact sums need non-negative integer exponents")
         return _truncated_exact(ints, M, star)
     return _truncated_float(s, M, star)
 

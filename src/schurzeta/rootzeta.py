@@ -12,23 +12,28 @@ The rank-r series runs over m_1, ..., m_r with one factor
 Public evaluators truncate each index at M (a box truncation). The chain
 tables at the bottom implement the coupled truncation used by the hook
 rewrite of Schur sums, where the bound applies to the running values
-x + m_1 + ... + m_k themselves.
+x + m_1 + ... + m_k themselves; chain_determinant assembles them into the
+Thm 4.2 series of a content-parametrized Schur sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .mzv import (
+    ContentAssignment,
     ConvergenceError,
     EvalResult,
     Number,
     exact_exponent,
 )
+from .partitions import FrobeniusForm
 
 
 def canonical_pairs(r: int) -> list[tuple[int, int]]:
@@ -254,24 +259,74 @@ def shifted_chain_table(svals: Sequence[Number], M: int, weak: bool, exact: bool
     return T
 
 
+def _det(rows):
+    """Determinant by elimination with partial pivoting: exact on Fractions,
+    otherwise in the precision of the entries."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign = 1
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[pivot][k] == 0:
+            return a[pivot][k]
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            g = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= g * a[k][j]
+    return prod((a[k][k] for k in range(n)), start=sign)
+
+
+def chain_determinant(frobenius: FrobeniusForm, assignment: ContentAssignment, M: int, exact: bool) -> Number:
+    """The Thm 4.2 series of the content shape with Frobenius form (p | q),
+    truncated at M: the determinant of the N x N matrix whose (j, k) entry is
+
+        sum over m <= M of m^(-z_0) * strict chain above m over z_-1..z_-q_j
+                                    * weak chain from m over z_1..z_p_k.
+
+    It equals the Schur sum with every entry <= M. exact=True sums in
+    Fractions (integer exponents only). exact=False works in floating point
+    whatever the exponents: double-precision chain tables, and the matrix
+    and its determinant in numpy's longdouble.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    arms = [
+        shifted_chain_table(assignment.sequence(range(1, p + 1)), M, weak=True, exact=exact)[1 : M + 1]
+        for p in frobenius.p
+    ]
+    legs = [
+        shifted_chain_table(assignment.sequence(range(-1, -q - 1, -1)), M, weak=False, exact=exact)[1 : M + 1]
+        for q in frobenius.q
+    ]
+    if exact:
+        e = exact_exponent(assignment[0])
+        if e is None:
+            raise ValueError("exact chain sums need non-negative integer exponents")
+        legs = [[v / m**e for m, v in enumerate(leg, 1)] for leg in legs]
+        return _det([[sum(map(mul, leg, arm), Fraction(0)) for arm in arms] for leg in legs])
+    m = np.arange(1.0, M + 1.0)
+    z = complex(assignment[0])
+    w = np.exp(-z * np.log(m)) if z.imag else m ** (-z.real)
+    legs, arms = np.stack(legs) * w, np.stack(arms)
+    # the determinant can be ~1e4 times smaller than its terms ((3,3) with
+    # z_-1..z_2 = 1, 4, 4, 1 at M = 30), which costs four digits in double
+    # precision. Rounding in the tables is not amplified that way, only
+    # rounding in the entries and the elimination, so those run in extended
+    # precision (plain double where numpy's longdouble is double).
+    ext = np.clongdouble if np.iscomplexobj(legs) or np.iscomplexobj(arms) else np.longdouble
+    det = _det(legs.astype(ext) @ arms.T.astype(ext))
+    return complex(det) if ext is np.clongdouble else float(det)
+
+
 def hook_series_truncated(z0: Number, plus: Sequence[Number], minus: Sequence[Number], M: int) -> Number:
     """The hook rewrite at coupled truncation M:
     sum over m <= M of m^(-z0) * weak chain from m over `plus`
-    * strict chain above m over `minus`.
+    * strict chain above m over `minus`, the N = 1 chain_determinant.
     """
-    exact = (
-        exact_exponent(z0) is not None
-        and all(exact_exponent(v) is not None for v in plus)
-        and all(exact_exponent(v) is not None for v in minus)
-    )
-    W = shifted_chain_table(plus, M, weak=True, exact=exact)
-    S = shifted_chain_table(minus, M, weak=False, exact=exact)
-    if exact:
-        return sum(
-            (W[m] * S[m] / m ** exact_exponent(z0) for m in range(1, M + 1)), Fraction(0)
-        )
-    m = np.arange(1.0, M + 1.0)
-    z = complex(z0)
-    w = np.exp(-z * np.log(m)) if z.imag else m ** (-z.real)
-    total = (w * np.asarray(W)[1 : M + 1] * np.asarray(S)[1 : M + 1]).sum()
-    return complex(total) if np.iscomplexobj(total) else float(total)
+    values = {0: z0, **dict(enumerate(plus, 1)), **{-k: v for k, v in enumerate(minus, 1)}}
+    exact = all(exact_exponent(v) is not None for v in values.values())
+    hook = FrobeniusForm((len(plus),), (len(minus),))
+    return chain_determinant(hook, ContentAssignment(values), M, exact)

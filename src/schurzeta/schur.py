@@ -1,10 +1,15 @@
-"""(Skew) Schur multiple zeta-functions by direct tableau summation.
+"""(Skew) Schur multiple zeta-functions.
 
 The sum runs over semi-standard fillings of the shape with every entry at
-most M, weighting a filling by prod m_ij^(-s_ij). Exact mode enumerates
-fillings in rational arithmetic. Floating mode uses a row-window recurrence
-(below) whose cost is M ** w with w the widest overlap between consecutive
-rows, which keeps shapes like (3,2,1) tractable at M in the thousands.
+most M, weighting a filling by prod m_ij^(-s_ij). By definition, exact mode
+enumerates fillings in rational arithmetic and floating mode uses a
+row-window recurrence (below) whose cost is M ** w with w the widest
+overlap between consecutive rows.
+
+eval_schur takes a closed form of the truncated sum where the shape has
+one, as both hold exactly at every M: the Thm 4.2 chain determinant for
+straight content-parametrized shapes, at about N^2 * M * |lambda| cost for
+Durfee size N, and the anti-hook sum for reversed hooks (k+1)^(l+1) / k^l.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .mzv import (
     exact_exponent,
 )
 from .partitions import Partition, SkewShape
+from .rootzeta import chain_determinant
 
 
 @dataclass(frozen=True)
@@ -200,6 +206,12 @@ class _RowWindow:
         the constraint new >= its value.
         """
         M, state = self.M, self.state
+        # the consumed axes collapse into the new one, the others stay
+        n_consumed = (consume_strict is not None) + (consume_weak is not None)
+        if state.size // M**n_consumed * M > 2**28:
+            raise ValueError(
+                "row-window state too large; lower M or use exact enumeration for this shape"
+            )
         consumed = []
         for lab, strict in ((consume_strict, True), (consume_weak, False)):
             if lab is None:
@@ -232,10 +244,6 @@ class _RowWindow:
             m = np.arange(M).reshape(shape_m)
             state = state * (m >= u)
         self.state = state * weight
-        if self.state.size > 2**28:
-            raise ValueError(
-                "row-window state too large; lower M or use exact enumeration for this shape"
-            )
 
     def scale_axis(self, label, vec: np.ndarray):
         t = self._axis(label)
@@ -320,8 +328,35 @@ def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool | None = None)
     return _sum_by_recurrence(vt, M)
 
 
-def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
-    """Truncated Schur sum with a doubling-consistency tail estimate."""
+def _content_assignment(vt: VariableTableau) -> ContentAssignment | None:
+    """The z_k of a nonempty straight tableau whose cell (i, j) carries a
+    value that depends on j - i only; None for any other tableau."""
+    if not vt.shape.is_straight() or not vt.cell_values:
+        return None
+    z: dict[int, Number] = {}
+    for (i, j), v in vt.cell_values.items():
+        if z.setdefault(j - i, v) != v:
+            return None
+    return ContentAssignment(z)
+
+
+def _by_definition(vt: VariableTableau, exact: bool):
+    return ("enumeration" if exact else "row-window"), lambda M: eval_schur_truncated(vt, M, exact)
+
+
+def _route(vt: VariableTableau, exact: bool):
+    """(path, M -> truncated sum): a closed form where the shape has one."""
+    z = _content_assignment(vt)
+    if z is not None:
+        frobenius = vt.shape.outer.frobenius()
+        return "chain-determinant", lambda M: chain_determinant(frobenius, z, M, exact)
+    sides = _antihook_sides(vt)
+    if sides is not None:
+        return "antihook", lambda M: _antihook_sum(*sides, M, exact)
+    return _by_definition(vt, exact)
+
+
+def _evaluate(vt: VariableTableau, cfg: TruncationConfig, route) -> EvalResult:
     note = ""
     if not vt.shape.is_straight():
         note = "skew shape: convergence checked with the same corner rule, heuristically"
@@ -329,16 +364,36 @@ def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
         raise ConvergenceError(
             "exponents violate the convergence region (need Re >= 1, > 1 at corners)"
         )
-    if cfg.is_exact:
-        if vt.is_exact():
-            return EvalResult(_sum_by_enumeration(vt, cfg.M), None, cfg.M, note=note)
+    exact = cfg.is_exact and vt.is_exact()
+    if cfg.is_exact and not exact:
         note = (note + "; " if note else "") + (
             "exact mode requires non-negative integer exponents; fell back to floating"
         )
-    v1 = _sum_by_recurrence(vt, cfg.M)
-    v2 = _sum_by_recurrence(vt, 2 * cfg.M)
+    path, truncated = route(vt, exact)
+    if exact:
+        return EvalResult(truncated(cfg.M), None, cfg.M, note=note, path=path)
+    v1 = truncated(cfg.M)
+    v2 = truncated(2 * cfg.M)
     estimate = 2.0 * abs(complex(v2) - complex(v1))
-    return EvalResult(v1, estimate, cfg.M, heuristic=True, note=note)
+    return EvalResult(v1, estimate, cfg.M, heuristic=True, note=note, path=path)
+
+
+def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
+    """Truncated Schur sum with a doubling-consistency tail estimate.
+
+    The shape picks the route, reported as the result's path: the chain
+    determinant for straight content-parametrized tableaux, the anti-hook
+    sum for reversed hooks, else the sum by definition (enumeration in
+    exact mode, the row window in floating mode).
+    """
+    return _evaluate(vt, cfg, _route)
+
+
+def _eval_schur_by_definition(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
+    """eval_schur summed over tableaux whatever the shape, so that an
+    identity with a closed form on its other side is not checked against
+    itself."""
+    return _evaluate(vt, cfg, _by_definition)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +427,31 @@ def _antihook_terms(bottom: Sequence[Number], column: Sequence[Number]):
         yield sign, star_args, strict_args
 
 
+def _antihook_sides(vt: VariableTableau):
+    """(bottom, column) of a tableau on (k+1)^(l+1) / k^l with k, l >= 1,
+    laid out as antihook_tableau takes them; None for any other shape."""
+    outer, inner = vt.shape.outer.parts, vt.shape.inner.parts
+    l = len(inner)
+    if l == 0 or len(outer) != l + 1:
+        return None
+    k = inner[0]
+    if set(outer) != {k + 1} or set(inner) != {k}:
+        return None
+    bottom = [vt.value(l + 1, j) for j in range(1, k + 2)]
+    column = [vt.value(r, k + 1) for r in range(l, 0, -1)]
+    return bottom, column
+
+
+def _antihook_sum(bottom: Sequence[Number], column: Sequence[Number], M: int, exact: bool) -> Number:
+    total = Fraction(0) if exact else 0.0
+    for sign, star_args, strict_args in _antihook_terms(bottom, column):
+        term = sign * eval_ez_truncated(strict_args, M, exact=exact)
+        if star_args:
+            term *= eval_ez_truncated(star_args, M, star=True, exact=exact)
+        total += term
+    return total
+
+
 def eval_skew_antihook_rhs(
     bottom: Sequence[Number], column: Sequence[Number], cfg: TruncationConfig
 ) -> EvalResult:
@@ -383,14 +463,7 @@ def eval_skew_antihook_rhs(
         exact_exponent(v) is not None for v in (*bottom, *column)
     )
     if exact:
-        total = Fraction(0)
-        for sign, star_args, strict_args in _antihook_terms(bottom, column):
-            term = Fraction(sign)
-            if star_args:
-                term *= eval_ez_truncated(star_args, cfg.M, star=True)
-            term *= eval_ez_truncated(strict_args, cfg.M, star=False)
-            total += term
-        return EvalResult(total, None, cfg.M)
+        return EvalResult(_antihook_sum(bottom, column, cfg.M, exact=True), None, cfg.M)
     note = "" if not cfg.is_exact else (
         "exact mode requires non-negative integer exponents; fell back to floating"
     )

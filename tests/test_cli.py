@@ -201,13 +201,40 @@ def test_eval_rootzeta(capsys):
     assert code == 0
 
 
-def test_eval_schur_cli(capsys):
+def test_eval_schur_cli(tmp_path, capsys):
     code = cli.main(["eval-schur", "--shape", "2,2", "--z0", "3", "--z1", "2", "--zm1", "2",
                      "--M", "4", "--exact"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert "/" in out["results"]["value"]  # exact rational rendered as a fraction
+    assert out["results"]["path"] == "chain-determinant"
     code = cli.main(["eval-schur", "--shape", "2,2", "--inner", "1",
                      "--content", "0=3,1=2,-1=2", "--M", "50"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
+    assert out["results"]["path"] == "antihook"
+    job = {
+        "command": "eval-schur",
+        "params": {"shape": "2,2", "cells": {"1,1": 3, "1,2": 2, "2,1": 2, "2,2": 2}},
+        "cfg": {"M": 20},
+    }
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(job))
+    assert cli.main(["job", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["path"] == "row-window"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-mzv", "--args", "2", "--M", "0"],
+        ["eval-mzv", "--args", "2", "--tolerance", "-1"],
+        ["job", "{tmp}/missing.json"],
+    ],
+)
+def test_bad_input_exits_one_without_traceback(argv, tmp_path, capsys):
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""

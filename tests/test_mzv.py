@@ -65,6 +65,7 @@ def test_float_matches_exact():
         exact = eval_ez_truncated(s, 50, star)
         floating = eval_ez_truncated([float(v) for v in s], 50, star)
         assert abs(float(exact) - floating) < 1e-12
+        assert eval_ez_truncated(s, 50, star, exact=False) == floating
 
 
 def test_complex_exponents():

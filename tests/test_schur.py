@@ -1,13 +1,17 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from schurzeta.mzv import ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import Partition, SkewShape, enumerate_ssyt
 from schurzeta.schur import (
     VariableTableau,
+    _route,
+    _sum_by_enumeration,
     antihook_tableau,
     check_W_lambda,
     eval_schur,
@@ -236,3 +240,127 @@ def test_antihook_input_validation():
         eval_skew_antihook_rhs([2], [2], TruncationConfig(M=5))
     with pytest.raises(ValueError):
         antihook_tableau([2, 2], [])
+
+
+# --- closed-form routes of eval_schur against the sums by definition ---
+
+INTS = st.integers(min_value=1, max_value=3)
+REALS = st.floats(min_value=1, max_value=4)
+COMPLEX = st.builds(complex, st.floats(min_value=1, max_value=4), st.floats(min_value=-2, max_value=2))
+
+
+@st.composite
+def content_tableaux(draw, values, max_size=7):
+    parts, left = [], draw(st.integers(min_value=1, max_value=max_size))
+    while left:
+        parts.append(draw(st.integers(min_value=1, max_value=min([left, *parts[-1:]]))))
+        left -= parts[-1]
+    lam = Partition(tuple(parts))
+    z = {c: draw(values) for c in range(1 - len(lam), lam[0])}
+    return VariableTableau.from_content(lam, z)
+
+
+@st.composite
+def reversed_hooks(draw, values):
+    k = draw(st.integers(min_value=1, max_value=3))
+    l = draw(st.integers(min_value=1, max_value=3))
+    return antihook_tableau([draw(values) for _ in range(k + 1)], [draw(values) for _ in range(l)])
+
+
+def _closed_form_path(vt):
+    return "chain-determinant" if vt.shape.is_straight() else "antihook"
+
+
+@given(st.one_of(content_tableaux(INTS), reversed_hooks(INTS)), st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_closed_forms_equal_enumeration_exactly(vt, M):
+    path, truncated = _route(vt, exact=True)
+    assert path == _closed_form_path(vt)
+    value = truncated(M)
+    assert isinstance(value, Fraction)
+    assert value == _sum_by_enumeration(vt, M) == brute_force_schur(vt, M)
+
+
+@given(
+    st.one_of(*(f(v) for f in (content_tableaux, reversed_hooks) for v in (REALS, COMPLEX))),
+    st.integers(min_value=1, max_value=40),
+)
+# the determinant is ~1e4 times smaller than its terms here; in plain double
+# precision the chain route is off by 2.9e-12
+@example(VariableTableau.from_content(Partition((3, 3)), {-1: 1.0, 0: 4.0, 1: 4.0, 2: 1.0}), 30)
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_row_window(vt, M):
+    path, truncated = _route(vt, exact=False)
+    assert path == _closed_form_path(vt)
+    value = truncated(M)
+    window = eval_schur_truncated(vt, M, exact=False)
+    assert type(value) is type(window)
+    assert abs(value - window) <= 1e-12 * abs(window)
+
+
+def test_eval_schur_routes_by_shape():
+    lam = Partition((2, 2))
+    by_content = {(1, 1): 3, (1, 2): 2, (2, 1): 2, (2, 2): 3}
+    # the same variables per cell are still content-parametrized
+    vt = VariableTableau.from_cells(lam, by_content)
+    assert eval_schur(vt, TruncationConfig(M=30)).path == "chain-determinant"
+    res = eval_schur(vt, TruncationConfig(M=5, mode="exact"))
+    assert res.path == "chain-determinant" and res.value == brute_force_schur(vt, 5)
+
+    per_cell = VariableTableau.from_cells(lam, {**by_content, (2, 2): 2})
+    res = eval_schur(per_cell, TruncationConfig(M=30))
+    assert res.path == "row-window"
+    assert res.value == eval_schur_truncated(per_cell, 30, exact=False)
+    res = eval_schur(per_cell, TruncationConfig(M=5, mode="exact"))
+    assert res.path == "enumeration" and res.value == brute_force_schur(per_cell, 5)
+
+    assert eval_schur(antihook_tableau([2, 3], [2]), TruncationConfig(M=30)).path == "antihook"
+    skew = VariableTableau.from_content(SkewShape(Partition((3, 2)), Partition((1,))), {0: 2, 1: 2, 2: 2, -1: 2})
+    assert eval_schur(skew, TruncationConfig(M=30)).path == "row-window"
+
+
+def test_floating_mode_stays_floating_for_integer_exponents():
+    for vt in (
+        VariableTableau.from_content(Partition((2, 2)), {0: 3, 1: 2, -1: 2}),
+        antihook_tableau([2, 3], [2]),
+    ):
+        res = eval_schur(vt, TruncationConfig(M=50))
+        assert type(res.value) is float and res.heuristic
+        exact = eval_schur(vt, TruncationConfig(M=50, mode="exact")).value
+        assert res.value == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_closed_forms_keep_the_convergence_gate():
+    # a 1 at a corner is outside the region: refused with the region error
+    with pytest.raises(ConvergenceError, match="convergence region"):
+        eval_schur(VariableTableau.from_content(Partition((2,)), {0: 2, 1: 1}), TruncationConfig(M=10))
+    with pytest.raises(ConvergenceError, match="convergence region"):
+        eval_schur(antihook_tableau([1, 1], [2]), TruncationConfig(M=10))
+    # inside the region, although the anti-hook factor zeta(2, 2, 1) diverges
+    cfg = TruncationConfig(M=200)
+    with pytest.raises(ConvergenceError, match="factor"):
+        eval_skew_antihook_rhs([1, 2], [2], cfg)
+    vt = antihook_tableau([1, 2], [2])
+    res = eval_schur(vt, cfg)
+    assert res.path == "antihook"
+    assert res.value == pytest.approx(eval_schur_truncated(vt, 200, exact=False), rel=1e-12)
+
+
+def test_eval_schur_empty_shape_is_one():
+    vt = VariableTableau.from_content(Partition(()), {})
+    assert eval_schur(vt, TruncationConfig(M=10)).value == 1
+    assert eval_schur(vt, TruncationConfig(M=10, mode="exact")).value == 1
+
+
+def test_row_window_refuses_before_allocating():
+    # not content-parametrized, so (3,3) takes the row window, whose third
+    # cell would need an M^3 state: 7.45 GiB at M = 1000
+    vt = VariableTableau.from_cells(Partition((3, 3)), {(i, j): 2 + i + 2 * j for i in (1, 2) for j in (1, 2, 3)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            eval_schur(vt, TruncationConfig(M=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
