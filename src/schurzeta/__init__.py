@@ -30,10 +30,7 @@ from .rootzeta import (
     canonical_pairs,
     chain_determinant,
     check_root_domain,
-    eval_zeta_A,
-    eval_zeta_H,
-    eval_zeta_bullet,
-    eval_zeta_bullet_H,
+    eval_root_zeta,
     hook_series_truncated,
     shifted_chain_table,
 )
@@ -72,14 +69,11 @@ __all__ = [
     "enumerate_ssyt",
     "eval_ez",
     "eval_ez_truncated",
+    "eval_root_zeta",
     "eval_schur",
     "eval_schur_truncated",
     "eval_skew_antihook_rhs",
     "eval_thm42",
-    "eval_zeta_A",
-    "eval_zeta_H",
-    "eval_zeta_bullet",
-    "eval_zeta_bullet_H",
     "evaluate_expr",
     "expand_giambelli",
     "expand_giambelli_terms",

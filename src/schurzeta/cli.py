@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,18 +30,12 @@ from .mzv import (
     ConvergenceError,
     EvalResult,
     TruncationConfig,
+    _arithmetic,
     eval_ez,
     value_to_json,
 )
 from .partitions import Partition, SkewShape
-from .rootzeta import (
-    RootZetaArgs,
-    _det,
-    eval_zeta_A,
-    eval_zeta_H,
-    eval_zeta_bullet,
-    eval_zeta_bullet_H,
-)
+from .rootzeta import RootZetaArgs, _det, eval_root_zeta
 from .schur import (
     VariableTableau,
     _eval_schur_by_definition,
@@ -53,7 +46,7 @@ from .schur import (
 )
 
 SCHEMA_VERSION = 1
-DEFAULTS = {"M": 1000, "tolerance": 1e-8, "mode": "floating", "threads": 1, "format": "json"}
+DEFAULTS = {"M": 1000, "tolerance": 1e-8, "mode": "floating", "format": "json"}
 
 VERIFY_IDENTITIES = ("hook1", "hook2", "giambelli", "thm41", "thm41-reversed", "thm42", "antihook")
 
@@ -145,10 +138,9 @@ class JobSpec:
     params: dict = field(default_factory=dict)
     cfg: TruncationConfig = TruncationConfig()
     output: str = "json"
-    threads: int = 1
 
     def __post_init__(self):
-        if self.command not in _COMMAND_PARAMS:
+        if not isinstance(self.command, str) or self.command not in _COMMAND_PARAMS:
             raise UsageError(f"unknown command {self.command!r}")
         allowed = _COMMAND_PARAMS[self.command]
         unknown = set(self.params) - allowed
@@ -175,20 +167,21 @@ class JobSpec:
             "params": params,
             "cfg": {"M": self.cfg.M, "mode": self.cfg.mode, "tolerance": self.cfg.tolerance},
             "output": self.output,
-            "threads": self.threads,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "JobSpec":
         if not isinstance(data, dict):
             raise UsageError("job spec must be a JSON object")
-        known = {"command", "params", "cfg", "output", "threads"}
+        known = {"command", "params", "cfg", "output"}
         unknown = set(data) - known
         if unknown:
             raise UsageError(f"unknown job field(s): {', '.join(sorted(unknown))}")
         if "command" not in data:
             raise UsageError("job spec is missing the 'command' field")
-        cfg_data = data.get("cfg", {})
+        cfg_data, params = data.get("cfg", {}), data.get("params", {})
+        if not isinstance(cfg_data, dict) or not isinstance(params, dict):
+            raise UsageError("job fields 'cfg' and 'params' must be JSON objects")
         extra = set(cfg_data) - {"M", "mode", "tolerance"}
         if extra:
             raise UsageError(f"unknown cfg field(s): {', '.join(sorted(extra))}")
@@ -198,14 +191,13 @@ class JobSpec:
                 mode=cfg_data.get("mode", DEFAULTS["mode"]),
                 tolerance=float(cfg_data.get("tolerance", DEFAULTS["tolerance"])),
             )
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise UsageError(f"bad cfg: {err}") from None
         return cls(
             command=data["command"],
-            params=dict(data.get("params", {})),
+            params=dict(params),
             cfg=cfg,
             output=data.get("output", "json"),
-            threads=int(data.get("threads", 1)),
         )
 
 
@@ -262,22 +254,11 @@ def _run_eval_rootzeta(spec: JobSpec) -> dict:
     else:
         rank = int(_require(params, "rank", "eval-rootzeta"))
         args = RootZetaArgs.full(rank, [_parse_number(str(v)) for v in _require(params, "svars", "eval-rootzeta")])
-    M = spec.cfg.M
-    if variant == "plain":
-        res = eval_zeta_A(args, M)
-    elif variant == "bullet":
-        res = eval_zeta_bullet(args, int(_require(params, "d", "eval-rootzeta")), M)
-    elif variant == "H":
-        res = eval_zeta_H(args, _parse_number(str(_require(params, "x", "eval-rootzeta"))), M)
-    elif variant == "bulletH":
-        res = eval_zeta_bullet_H(
-            args,
-            int(_require(params, "d", "eval-rootzeta")),
-            _parse_number(str(_require(params, "x", "eval-rootzeta"))),
-            M,
-        )
-    else:
+    if variant not in ("plain", "bullet", "H", "bulletH"):
         raise UsageError(f"variant must be plain, bullet, H or bulletH, got {variant!r}")
+    d = int(_require(params, "d", "eval-rootzeta")) if variant.startswith("bullet") else 0
+    x = _parse_number(str(_require(params, "x", "eval-rootzeta"))) if variant.endswith("H") else None
+    res = eval_root_zeta(args, spec.cfg, d, x)
     return {"results": _result_payload(res)}
 
 
@@ -331,18 +312,12 @@ def _run_expand(spec: JobSpec) -> dict:
 
 def _giambelli_matrix_value(lam: Partition, content: dict, cfg: TruncationConfig):
     """Determinant of the hook-shape Schur values, by direct tableau sums."""
-    grid = giambelli_det_expr(lam)
-    exact = cfg.is_exact
-    vals = [
-        [
-            eval_schur_truncated(
-                VariableTableau.from_content(entry.shape, content), cfg.M, exact=exact or None
-            )
-            for entry in row
-        ]
-        for row in grid
+    grid = [
+        [VariableTableau.from_content(entry.shape, content) for entry in row]
+        for row in giambelli_det_expr(lam)
     ]
-    return _det(vals)
+    exact, _ = _arithmetic(cfg, (v for row in grid for vt in row for v in vt.cell_values.values()))
+    return _det([[eval_schur_truncated(vt, cfg.M, exact) for vt in row] for row in grid])
 
 
 def _run_verify(spec: JobSpec) -> dict:
@@ -399,12 +374,7 @@ def _run_verify(spec: JobSpec) -> dict:
         )
 
     lhs_f, rhs_f = make_sides()
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            lhs_fut, rhs_fut = pool.submit(lhs_f), pool.submit(rhs_f)
-            (lhs, lhs_bound), (rhs, rhs_bound) = lhs_fut.result(), rhs_fut.result()
-    else:
-        (lhs, lhs_bound), (rhs, rhs_bound) = lhs_f(), rhs_f()
+    (lhs, lhs_bound), (rhs, rhs_bound) = lhs_f(), rhs_f()
 
     exact_compare = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
     difference = lhs - rhs if exact_compare else complex(lhs) - complex(rhs)
@@ -445,9 +415,13 @@ def run(spec: JobSpec) -> tuple[int, dict]:
     report = {"schema": SCHEMA_VERSION, "command": spec.command, "inputs": spec.to_json()}
     try:
         outcome = _RUNNERS[spec.command](spec)
-    except (UsageError, ConvergenceError, ValueError, KeyError) as err:
+    except (UsageError, ConvergenceError, ValueError, KeyError, MemoryError) as err:
         report["status"] = "error"
-        report["error"] = str(err)
+        report["error"] = (
+            f"out of memory at M={spec.cfg.M}; try a lower M"
+            if isinstance(err, MemoryError)
+            else str(err)
+        )
         report["wall_time_s"] = time.perf_counter() - started
         return 1, report
     report.update(outcome)
@@ -472,29 +446,7 @@ def _add_common(parser: _Parser):
     parser.add_argument("--mode", choices=["exact", "floating"], default=None)
     parser.add_argument("--exact", action="store_true", help="shorthand for --mode exact")
     parser.add_argument("--tolerance", type=float, default=None)
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
     parser.add_argument("--format", choices=["json", "plain", "latex"], default=None)
-
-
-def _content_flags(parser: _Parser):
-    parser.add_argument("--content", default=None, help="content values, e.g. '0=3,1=2,-1=2'")
-    for k in range(0, 7):
-        parser.add_argument(f"--z{k}", default=None, help=argparse.SUPPRESS)
-    for k in range(1, 7):
-        parser.add_argument(f"--zm{k}", default=None, help=argparse.SUPPRESS)
-
-
-def _collect_content(ns) -> dict | None:
-    content = _parse_content(ns.content) if ns.content else {}
-    for k in range(0, 7):
-        v = getattr(ns, f"z{k}", None)
-        if v is not None:
-            content[k] = _parse_number(v)
-    for k in range(1, 7):
-        v = getattr(ns, f"zm{k}", None)
-        if v is not None:
-            content[-k] = _parse_number(v)
-    return content or None
 
 
 def build_parser() -> _Parser:
@@ -509,7 +461,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-schur", help="Schur multiple zeta value by tableau summation")
     p.add_argument("--shape", required=True, help="outer partition, e.g. 2,2")
     p.add_argument("--inner", default=None, help="inner partition for skew shapes")
-    _content_flags(p)
+    p.add_argument("--content", default=None, help="content values, e.g. '0=3,1=2,-1=2'")
     _add_common(p)
 
     p = sub.add_parser("eval-rootzeta", help="type-A root-system zeta and variants")
@@ -538,7 +490,7 @@ def build_parser() -> _Parser:
     p.add_argument("--shape", default=None)
     p.add_argument("--bottom", default=None, help="bottom-row values for antihook")
     p.add_argument("--column", default=None, help="right-column values for antihook")
-    _content_flags(p)
+    p.add_argument("--content", default=None, help="content values, e.g. '0=3,1=2,-1=2'")
     _add_common(p)
 
     p = sub.add_parser("job", help="run a JSON job specification")
@@ -562,12 +514,15 @@ def _spec_from_namespace(ns) -> JobSpec:
     except ValueError as err:
         raise UsageError(f"bad cfg: {err}") from None
     output = ns.format if ns.format is not None else _env("FORMAT", DEFAULTS["format"], str)
-    threads = ns.threads if ns.threads is not None else _env("THREADS", DEFAULTS["threads"], int)
     params: dict = {}
     if ns.command == "eval-mzv":
         params = {"args": _parse_number_list(ns.args), "star": ns.star}
     elif ns.command == "eval-schur":
-        params = {"shape": ns.shape, "inner": ns.inner, "content": _collect_content(ns)}
+        params = {
+            "shape": ns.shape,
+            "inner": ns.inner,
+            "content": _parse_content(ns.content) if ns.content else None,
+        }
     elif ns.command == "eval-rootzeta":
         params = {
             "rank": ns.rank,
@@ -592,12 +547,12 @@ def _spec_from_namespace(ns) -> JobSpec:
             "p": ns.p,
             "q": ns.q,
             "shape": ns.shape,
-            "content": _collect_content(ns),
+            "content": _parse_content(ns.content) if ns.content else None,
             "bottom": _parse_number_list(ns.bottom) if ns.bottom else None,
             "column": _parse_number_list(ns.column) if ns.column else None,
         }
     params = {k: v for k, v in params.items() if v is not None}
-    return JobSpec(ns.command, params, cfg, output, threads)
+    return JobSpec(ns.command, params, cfg, output)
 
 
 def _render(report: dict, output: str) -> str:

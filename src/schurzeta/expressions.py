@@ -10,7 +10,7 @@ arguments, so degenerate trailing factors are simply omitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -21,6 +21,9 @@ from .mzv import (
     EvalResult,
     Number,
     TruncationConfig,
+    _arithmetic,
+    _doubling_result,
+    _product,
     check_ez_domain,
     eval_ez,
     eval_ez_truncated,
@@ -305,27 +308,23 @@ def evaluate_expr(
     """
     if not isinstance(assignment, ContentAssignment):
         assignment = ContentAssignment(assignment)
-    note = ""
-    if cfg.is_exact:
-        if all(
-            exact_exponent(v) is not None
-            for t in expr.terms
-            for f in t.factors
-            for v in assignment.sequence(f.args)
-        ):
-            cache: dict[ZetaSymbol, Fraction] = {}
-            total = Fraction(0)
-            for t in expr.terms:
-                val = Fraction(t.coefficient)
-                for f in t.factors:
-                    if f not in cache:
-                        cache[f] = eval_ez_truncated(
-                            assignment.sequence(f.args), cfg.M, star=f.kind == "star"
-                        )
-                    val *= cache[f]
-                total += val
-            return EvalResult(total, None, cfg.M)
-        note = "exact mode requires non-negative integer exponents; fell back to floating"
+    exact, note = _arithmetic(
+        cfg, (v for t in expr.terms for f in t.factors for v in assignment.sequence(f.args))
+    )
+    if exact:
+        cache: dict[ZetaSymbol, Fraction] = {}
+        total = Fraction(0)
+        for t in expr.terms:
+            val = Fraction(t.coefficient)
+            for f in t.factors:
+                if f not in cache:
+                    cache[f] = eval_ez_truncated(
+                        assignment.sequence(f.args), cfg.M, star=f.kind == "star"
+                    )
+                val *= cache[f]
+            total += val
+        return EvalResult(total, None, cfg.M)
+    cfg = replace(cfg, mode="floating")
     results: dict[ZetaSymbol, EvalResult] = {}
     for t in expr.terms:
         for f in t.factors:
@@ -340,18 +339,8 @@ def evaluate_expr(
     total = 0.0 + 0.0j
     bound = 0.0
     for t in expr.terms:
-        vals = [complex(results[f].value) for f in t.factors]
-        prod_val = 1.0 + 0.0j
-        for v in vals:
-            prod_val *= v
-        total += t.coefficient * prod_val
-        term_bound = 0.0
-        for idx, f in enumerate(t.factors):
-            others = 1.0
-            for j, v in enumerate(vals):
-                if j != idx:
-                    others *= abs(v)
-            term_bound += (results[f].tail_bound or 0.0) * others
+        term, term_bound = _product([results[f] for f in t.factors])
+        total += t.coefficient * term
         bound += abs(t.coefficient) * term_bound
     value = total.real if total.imag == 0 else total
     return EvalResult(value, bound, cfg.M, note=note)
@@ -386,10 +375,7 @@ def eval_thm42(
     exact = exact_exponent(z0) is not None and all(
         exact_exponent(v) is not None for vals in (*plus.values(), *minus.values()) for v in vals
     )
-    v1 = chain_determinant(f, assignment, M, exact)
-    v2 = chain_determinant(f, assignment, 2 * M, exact)
-    estimate = 2.0 * abs(complex(v2) - complex(v1))
-    value = v1
-    if not exact and isinstance(value, complex) and value.imag == 0:
-        value = value.real
-    return EvalResult(value, estimate, M, heuristic=True)
+    res = _doubling_result(lambda m: chain_determinant(f, assignment, m, exact), M)
+    if not exact and isinstance(res.value, complex) and res.value.imag == 0:
+        res.value = res.value.real
+    return res

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,6 +81,31 @@ class EvalResult:
         return out
 
 
+def _doubling_result(evaluate, M: int, note: str = "", path: str = "") -> EvalResult:
+    """The truncated value at M with twice its distance to the value at 2M
+    as a heuristic tail estimate."""
+    v1 = evaluate(M)
+    v2 = evaluate(2 * M)
+    estimate = 2.0 * abs(complex(v2) - complex(v1))
+    return EvalResult(v1, estimate, M, heuristic=True, note=note, path=path)
+
+
+def _product(factors: Sequence[EvalResult]) -> tuple[complex, float]:
+    """The product of the factor values, and its tail bound propagated to
+    first order from the factors' bounds."""
+    value = 1.0 + 0.0j
+    for f in factors:
+        value *= complex(f.value)
+    bound = 0.0
+    for i, f in enumerate(factors):
+        others = 1.0
+        for j, g in enumerate(factors):
+            if j != i:
+                others *= abs(complex(g.value))
+        bound += (f.tail_bound or 0.0) * others
+    return value, bound
+
+
 def value_to_json(v: Number):
     """Fractions render as 'p/q' strings, complex values as [re, im]."""
     if isinstance(v, Fraction):
@@ -99,6 +124,17 @@ def exact_exponent(v) -> int | None:
     if isinstance(v, Fraction) and v.denominator == 1 and v >= 0:
         return int(v)
     return None
+
+
+def _arithmetic(cfg: TruncationConfig, values: Iterable[Number]) -> tuple[bool, str]:
+    """(exact, note): exact arithmetic when the config asks for it and every
+    exponent is a non-negative integer, floating otherwise; the note says so
+    when exact mode had to fall back."""
+    if not cfg.is_exact:
+        return False, ""
+    if all(exact_exponent(v) is not None for v in values):
+        return True, ""
+    return False, "exact mode requires non-negative integer exponents; fell back to floating"
 
 
 @dataclass(frozen=True)
@@ -179,20 +215,21 @@ def _truncated_exact(s: Sequence[int], M: int, star: bool) -> Fraction:
     return sum(A, Fraction(0))
 
 
-def _pow_vector(m: np.ndarray, s: Number) -> np.ndarray:
+def _pow_vector(s: Number, M: int) -> np.ndarray:
+    """m^(-s) for m = 1..M: real for real s, else on the principal branch."""
+    m = np.arange(1.0, M + 1.0)
     if isinstance(s, complex) and s.imag != 0:
-        return np.exp(-s * np.log(m))  # principal branch m^(-s)
+        return np.exp(-s * np.log(m))
     return m ** (-float(complex(s).real))
 
 
 def _truncated_float(s: Sequence[Number], M: int, star: bool) -> float | complex:
-    m = np.arange(1.0, M + 1.0)
-    A = _pow_vector(m, s[0])
+    A = _pow_vector(s[0], M)
     for sj in s[1:]:
         cs = np.cumsum(A)
         if not star:
             cs = np.concatenate((np.zeros(1, dtype=cs.dtype), cs[:-1]))
-        A = _pow_vector(m, sj) * cs
+        A = _pow_vector(sj, M) * cs
     total = A.sum()
     return complex(total) if np.iscomplexobj(A) else float(total)
 
@@ -249,12 +286,9 @@ def eval_ez(s: Sequence[Number], cfg: TruncationConfig, star: bool = False) -> E
         raise ConvergenceError(
             f"exponents {s} violate the convergence condition (suffix sums must exceed the depth)"
         )
-    note = ""
-    if cfg.is_exact:
-        ints = [exact_exponent(v) for v in s]
-        if all(v is not None for v in ints):
-            value = _truncated_exact(ints, cfg.M, star)
-            return EvalResult(value, None, cfg.M)
-        note = "exact mode requires non-negative integer exponents; fell back to floating"
+    exact, note = _arithmetic(cfg, s)
+    if exact:
+        value = _truncated_exact([exact_exponent(v) for v in s], cfg.M, star)
+        return EvalResult(value, None, cfg.M)
     value = _truncated_float(s, cfg.M, star)
     return EvalResult(value, _tail_bound(s, cfg.M, star), cfg.M, note=note)

@@ -31,6 +31,10 @@ from .mzv import (
     ConvergenceError,
     EvalResult,
     Number,
+    TruncationConfig,
+    _arithmetic,
+    _doubling_result,
+    _pow_vector,
     exact_exponent,
 )
 from .partitions import FrobeniusForm
@@ -80,9 +84,6 @@ class RootZetaArgs:
     def value(self, i: int, j: int) -> Number:
         return self.s.get((i, j), 0)
 
-    def is_exact(self) -> bool:
-        return all(exact_exponent(v) is not None for v in self.s.values())
-
     def to_json(self) -> dict:
         return {
             "rank": self.r,
@@ -107,16 +108,13 @@ def check_root_domain(args: RootZetaArgs) -> bool:
     return True
 
 
-def _box_sum(args: RootZetaArgs, M: int, d: int, x) -> Number:
+def _box_sum(args: RootZetaArgs, M: int, d: int, x, exact: bool) -> Number:
     """Sum over the box 0-or-1 <= m_k <= M, depth-first.
 
     With x None and d > 0 the prime rule applies: a zero base can only occur
     for a factor entirely inside the zero-based block, and it is skipped.
     """
     r = args.r
-    exact = args.is_exact() and (
-        x is None or isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-    )
     one = Fraction(1) if exact else 1.0
     shift = (Fraction(x) if exact else x) if x is not None else None
     svals = {pair: (exact_exponent(v) if exact else v) for pair, v in args.s.items()}
@@ -158,55 +156,27 @@ def _box_sum(args: RootZetaArgs, M: int, d: int, x) -> Number:
     return total
 
 
-def _doubling_result(evaluate, M: int) -> EvalResult:
-    v1 = evaluate(M)
-    v2 = evaluate(2 * M)
-    estimate = 2.0 * abs(complex(v2) - complex(v1))
-    return EvalResult(v1, estimate, M, heuristic=True)
+def eval_root_zeta(args: RootZetaArgs, cfg: TruncationConfig, d: int = 0, x=None) -> EvalResult:
+    """The type-A root-system zeta truncated to the box m_k <= cfg.M.
 
-
-def eval_zeta_A(args: RootZetaArgs, M: int) -> EvalResult:
-    """Truncated type-A root-system zeta with a doubling-consistency estimate."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if not check_root_domain(args):
-        raise ConvergenceError("root-system variables fail the convergence heuristic")
-    return _doubling_result(lambda m: _box_sum(args, m, d=0, x=None), M)
-
-
-def eval_zeta_bullet(args: RootZetaArgs, d: int, M: int) -> EvalResult:
-    """First d indices run from 0 with vanishing-base factors omitted."""
+    The first d indices run from 0 (zeta-bullet) and x > 0 shifts every
+    base (zeta-H); d = 0 with x None is the plain series. Exact mode returns
+    the Fraction at M, which needs non-negative integer exponents and a
+    rational x; floating mode adds a doubling-consistency estimate.
+    """
     if not 0 <= d <= args.r:
         raise ValueError(f"d must satisfy 0 <= d <= {args.r}, got {d}")
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if not check_root_domain(args):
-        raise ConvergenceError("root-system variables fail the convergence heuristic")
-    return _doubling_result(lambda m: _box_sum(args, m, d=d, x=None), M)
-
-
-def eval_zeta_H(args: RootZetaArgs, x, M: int) -> EvalResult:
-    """Every base shifted by x > 0."""
-    if not complex(x).real > 0 or complex(x).imag:
+    if x is not None and (not complex(x).real > 0 or complex(x).imag):
         raise ValueError("shift x must be a positive real")
-    if M < 1:
-        raise ValueError("M must be >= 1")
     if not check_root_domain(args):
         raise ConvergenceError("root-system variables fail the convergence heuristic")
-    return _doubling_result(lambda m: _box_sum(args, m, d=0, x=x), M)
-
-
-def eval_zeta_bullet_H(args: RootZetaArgs, d: int, x, M: int) -> EvalResult:
-    """Zero-based first d indices and shift x > 0; no omission is needed."""
-    if not 0 <= d <= args.r:
-        raise ValueError(f"d must satisfy 0 <= d <= {args.r}, got {d}")
-    if not complex(x).real > 0 or complex(x).imag:
-        raise ValueError("shift x must be a positive real")
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if not check_root_domain(args):
-        raise ConvergenceError("root-system variables fail the convergence heuristic")
-    return _doubling_result(lambda m: _box_sum(args, m, d=d, x=x), M)
+    exact, note = _arithmetic(cfg, args.s.values())
+    rational_x = x is None or isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    if exact and not rational_x:
+        exact, note = False, "exact mode requires a rational shift x; summed in floating point"
+    if exact:
+        return EvalResult(_box_sum(args, cfg.M, d, x, True), None, cfg.M)
+    return _doubling_result(lambda m: _box_sum(args, m, d, x, False), cfg.M, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +213,10 @@ def shifted_chain_table(svals: Sequence[Number], M: int, weak: bool, exact: bool
             G[0] = acc
             T = G if weak else [G[min(v + 1, M + 1)] for v in range(M + 2)]
         return T
-    cplx = any(isinstance(v, complex) and v.imag for v in svals)
-    dtype = complex if cplx else float
-    n = np.arange(1.0, M + 1.0)
+    dtype = complex if any(isinstance(v, complex) and v.imag for v in svals) else float
     T = np.ones(M + 2, dtype=dtype)
     for s in reversed(svals):
-        w = (np.exp(-s * np.log(n)) if cplx else n ** (-float(complex(s).real))) * T[1 : M + 1]
+        w = _pow_vector(s, M) * T[1 : M + 1]
         G = np.zeros(M + 2, dtype=dtype)
         G[1 : M + 1] = np.cumsum(w[::-1])[::-1]
         G[0] = G[1]
@@ -307,10 +275,7 @@ def chain_determinant(frobenius: FrobeniusForm, assignment: ContentAssignment, M
             raise ValueError("exact chain sums need non-negative integer exponents")
         legs = [[v / m**e for m, v in enumerate(leg, 1)] for leg in legs]
         return _det([[sum(map(mul, leg, arm), Fraction(0)) for arm in arms] for leg in legs])
-    m = np.arange(1.0, M + 1.0)
-    z = complex(assignment[0])
-    w = np.exp(-z * np.log(m)) if z.imag else m ** (-z.real)
-    legs, arms = np.stack(legs) * w, np.stack(arms)
+    legs, arms = np.stack(legs) * _pow_vector(assignment[0], M), np.stack(arms)
     # the determinant can be ~1e4 times smaller than its terms ((3,3) with
     # z_-1..z_2 = 1, 4, 4, 1 at M = 30), which costs four digits in double
     # precision. Rounding in the tables is not amplified that way, only

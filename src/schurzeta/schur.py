@@ -14,7 +14,7 @@ Durfee size N, and the anti-hook sum for reversed hooks (k+1)^(l+1) / k^l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,12 +26,16 @@ from .mzv import (
     EvalResult,
     Number,
     TruncationConfig,
+    _arithmetic,
+    _doubling_result,
+    _pow_vector,
+    _product,
     eval_ez,
     eval_ez_truncated,
     exact_exponent,
 )
 from .partitions import Partition, SkewShape
-from .rootzeta import chain_determinant
+from .rootzeta import chain_determinant, shifted_chain_table
 
 
 @dataclass(frozen=True)
@@ -170,22 +174,6 @@ def _sum_by_enumeration(vt: VariableTableau, M: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _weight_vector(s: Number, M: int, dtype) -> np.ndarray:
-    n = np.arange(1.0, M + 1.0)
-    if dtype is complex and isinstance(s, complex) and s.imag:
-        return np.exp(-s * np.log(n))
-    return (n ** (-float(complex(s).real))).astype(dtype)
-
-
-def _suffix_chain(svals: Sequence[Number], M: int, dtype) -> np.ndarray:
-    """T[v-1] = sum over v <= u_1 <= ... <= u_t <= M of prod u^(-s)."""
-    T = np.ones(M, dtype=dtype)
-    for s in reversed(svals):
-        w = _weight_vector(s, M, dtype) * T
-        T = np.cumsum(w[::-1])[::-1]
-    return T
-
-
 class _RowWindow:
     """State array plus the labels of its live axes."""
 
@@ -285,7 +273,7 @@ def _sum_by_recurrence(vt: VariableTableau, M: int):
         # columns with neighbours neither above nor below fold into a chain
         c0 = max(max(b_prev, b_next) + 1, a + 1)
         for c in range(a + 1, min(c0 - 1, b) + 1):
-            w = _weight_vector(vt.value(i, c), M, dtype)
+            w = _pow_vector(vt.value(i, c), M)
             above = ("p", c) if ("p", c) in win.live else None
             left = ("u", c - 1) if c - 1 > a else None
             # a left neighbour still wanted by the next row stays live under a
@@ -299,7 +287,8 @@ def _sum_by_recurrence(vt: VariableTableau, M: int):
                 mask_weak=left if left_needed else None,
             )
         if c0 <= b:
-            chain = _suffix_chain([vt.value(i, c) for c in range(c0, b + 1)], M, dtype)
+            svals = [vt.value(i, c) for c in range(c0, b + 1)]
+            chain = shifted_chain_table(svals, M, weak=True, exact=False)[1 : M + 1]
             if c0 == a + 1:
                 win.state = win.state * chain[0]
             else:
@@ -364,18 +353,12 @@ def _evaluate(vt: VariableTableau, cfg: TruncationConfig, route) -> EvalResult:
         raise ConvergenceError(
             "exponents violate the convergence region (need Re >= 1, > 1 at corners)"
         )
-    exact = cfg.is_exact and vt.is_exact()
-    if cfg.is_exact and not exact:
-        note = (note + "; " if note else "") + (
-            "exact mode requires non-negative integer exponents; fell back to floating"
-        )
+    exact, fallback = _arithmetic(cfg, vt.cell_values.values())
+    note = "; ".join(filter(None, (note, fallback)))
     path, truncated = route(vt, exact)
     if exact:
         return EvalResult(truncated(cfg.M), None, cfg.M, note=note, path=path)
-    v1 = truncated(cfg.M)
-    v2 = truncated(2 * cfg.M)
-    estimate = 2.0 * abs(complex(v2) - complex(v1))
-    return EvalResult(v1, estimate, cfg.M, heuristic=True, note=note, path=path)
+    return _doubling_result(truncated, cfg.M, note=note, path=path)
 
 
 def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
@@ -459,14 +442,10 @@ def eval_skew_antihook_rhs(
     reversed-hook skew sum; the empty star factor counts as 1."""
     if len(bottom) < 2 or len(column) < 1:
         raise ValueError("need at least two bottom values and one column value")
-    exact = cfg.is_exact and all(
-        exact_exponent(v) is not None for v in (*bottom, *column)
-    )
+    exact, note = _arithmetic(cfg, (*bottom, *column))
     if exact:
         return EvalResult(_antihook_sum(bottom, column, cfg.M, exact=True), None, cfg.M)
-    note = "" if not cfg.is_exact else (
-        "exact mode requires non-negative integer exponents; fell back to floating"
-    )
+    cfg = replace(cfg, mode="floating")
     total = 0.0
     bound = 0.0
     for sign, star_args, strict_args in _antihook_terms(bottom, column):
@@ -479,17 +458,9 @@ def eval_skew_antihook_rhs(
             except ConvergenceError as err:
                 name = ("zeta-star" if star else "zeta") + str(tuple(args))
                 raise ConvergenceError(f"factor {name}: {err}") from None
-        term = 1.0 + 0.0j
-        for f in factors:
-            term *= complex(f.value)
+        term, term_bound = _product(factors)
         total = total + sign * term
-        # first-order propagation through the product
-        for f in factors:
-            others = 1.0
-            for g in factors:
-                if g is not f:
-                    others *= abs(complex(g.value))
-            bound += (f.tail_bound or 0.0) * others
+        bound += term_bound
     if isinstance(total, complex) and total.imag == 0:
         total = total.real
     return EvalResult(total, bound, cfg.M, note=note)

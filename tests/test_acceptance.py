@@ -20,13 +20,7 @@ from schurzeta.expressions import (
 )
 from schurzeta.mzv import TruncationConfig, eval_ez, eval_ez_truncated
 from schurzeta.partitions import FrobeniusForm, Partition, enumerate_ssyt
-from schurzeta.rootzeta import (
-    RootZetaArgs,
-    canonical_pairs,
-    eval_zeta_A,
-    eval_zeta_H,
-    eval_zeta_bullet,
-)
+from schurzeta.rootzeta import RootZetaArgs, canonical_pairs, eval_root_zeta
 from schurzeta.schur import (
     VariableTableau,
     _eval_schur_by_definition,
@@ -206,9 +200,9 @@ def test_criterion_7_exact_algebraic_suite():
         r = rng.randint(1, 3)
         n_vars = r * (r + 1) // 2
         args = RootZetaArgs.full(r, [rng.choice([2, 3]) for _ in range(n_vars)])
-        M = rng.randint(2, 4)
-        if eval_zeta_bullet(args, 0, M).value != eval_zeta_A(args, M).value:
-            failures.append(("d0", args.to_json(), M))
+        cfg = TruncationConfig(rng.randint(2, 4), "exact")
+        if eval_root_zeta(args, cfg, d=0).value != eval_root_zeta(args, cfg).value:
+            failures.append(("d0", args.to_json(), cfg.M))
         cases += 1
 
     for _ in range(60):  # first-row-only agreement, bit for bit
@@ -219,11 +213,11 @@ def test_criterion_7_exact_algebraic_suite():
         full = RootZetaArgs(
             r, {pair: first_row_vals.get(pair, 0) for pair in canonical_pairs(r)}
         )
-        M = rng.randint(2, 4)
-        if eval_zeta_A(fr, M).value != eval_zeta_A(full, M).value:
-            failures.append(("first-row A", zrow, M))
-        if eval_zeta_H(fr, 1, M).value != eval_zeta_H(full, 1, M).value:
-            failures.append(("first-row H", zrow, M))
+        cfg = TruncationConfig(rng.randint(2, 4), "exact")
+        if eval_root_zeta(fr, cfg).value != eval_root_zeta(full, cfg).value:
+            failures.append(("first-row A", zrow, cfg.M))
+        if eval_root_zeta(fr, cfg, x=1).value != eval_root_zeta(full, cfg, x=1).value:
+            failures.append(("first-row H", zrow, cfg.M))
         cases += 1
 
     assert cases >= 500

@@ -9,8 +9,8 @@ from schurzeta.mzv import TruncationConfig
 
 def test_verify_hook1_exact(capsys):
     code = cli.main(
-        ["verify", "hook1", "--p", "1", "--q", "1", "--z0", "2", "--z1", "2",
-         "--zm1", "2", "--M", "6", "--exact"]
+        ["verify", "hook1", "--p", "1", "--q", "1", "--content", "0=2,1=2,-1=2",
+         "--M", "6", "--exact"]
     )
     out = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -22,11 +22,11 @@ def test_verify_hook1_exact(capsys):
 @pytest.mark.parametrize(
     "identity,extra",
     [
-        ("hook2", ["--p", "2", "--q", "1", "--z0", "2", "--z1", "1", "--z2", "2", "--zm1", "2"]),
-        ("giambelli", ["--shape", "2,2", "--z0", "3", "--z1", "2", "--zm1", "2"]),
-        ("thm41", ["--shape", "2,2", "--z0", "3", "--z1", "2", "--zm1", "2"]),
-        ("thm41-reversed", ["--shape", "2,2", "--z0", "3", "--z1", "2", "--zm1", "2"]),
-        ("thm42", ["--shape", "2,1", "--z0", "3", "--z1", "2", "--zm1", "2"]),
+        ("hook2", ["--p", "2", "--q", "1", "--content", "0=2,1=1,2=2,-1=2"]),
+        ("giambelli", ["--shape", "2,2", "--content", "0=3,1=2,-1=2"]),
+        ("thm41", ["--shape", "2,2", "--content", "0=3,1=2,-1=2"]),
+        ("thm41-reversed", ["--shape", "2,2", "--content", "0=3,1=2,-1=2"]),
+        ("thm42", ["--shape", "2,1", "--content", "0=3,1=2,-1=2"]),
         ("antihook", ["--bottom", "2,2", "--column", "3"]),
     ],
 )
@@ -39,8 +39,7 @@ def test_verify_all_identities_exact(identity, extra, capsys):
 
 def test_verify_floating(capsys):
     code = cli.main(
-        ["verify", "thm41", "--shape", "2,2", "--z0", "3", "--z1", "2", "--zm1", "2",
-         "--M", "300"]
+        ["verify", "thm41", "--shape", "2,2", "--content", "0=3,1=2,-1=2", "--M", "300"]
     )
     out = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -86,8 +85,8 @@ def test_report_round_trips_to_jobspec(capsys):
 
 
 def test_exact_reports_are_deterministic(capsys):
-    argv = ["verify", "hook1", "--p", "1", "--q", "1", "--z0", "2", "--z1", "2",
-            "--zm1", "2", "--M", "6", "--exact"]
+    argv = ["verify", "hook1", "--p", "1", "--q", "1", "--content", "0=2,1=2,-1=2",
+            "--M", "6", "--exact"]
     cli.main(argv)
     first = json.loads(capsys.readouterr().out)
     cli.main(argv)
@@ -112,9 +111,11 @@ def test_exit_codes_for_errors(capsys):
     # malformed flag value
     assert cli.main(["eval-mzv", "--args", "two"]) == 1
     # missing required parameter
-    assert cli.main(["verify", "hook1", "--z0", "2"]) == 1
+    assert cli.main(["verify", "hook1", "--content", "0=2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert "--p" in out["error"]
     # bad partition
-    assert cli.main(["eval-schur", "--shape", "1,2", "--z0", "2"]) == 1
+    assert cli.main(["eval-schur", "--shape", "1,2", "--content", "0=2"]) == 1
 
 
 def test_verification_failure_exits_two(monkeypatch):
@@ -180,13 +181,24 @@ def test_env_defaults(monkeypatch, capsys):
     assert out["inputs"]["cfg"]["M"] == 9
 
 
-def test_threads_flag(capsys):
-    code = cli.main(
-        ["verify", "giambelli", "--shape", "2,2", "--z0", "3", "--z1", "2", "--zm1", "2",
-         "--M", "5", "--exact", "--threads", "2"]
-    )
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0 and out["results"]["equal"] is True
+def test_out_of_memory_exits_one(monkeypatch):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._RUNNERS, "eval-schur", exhausted)
+    code, report = run(JobSpec("eval-schur", {"shape": "3,3"}, TruncationConfig(M=5000)))
+    assert code == 1
+    assert report["status"] == "error" and "M=5000" in report["error"]
+
+
+def test_verify_giambelli_follows_the_mode(capsys):
+    argv = ["verify", "giambelli", "--shape", "2,2", "--content", "0=3,1=2,-1=2", "--M", "8"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)["results"]
+    assert isinstance(out["rhs"], float) and out["comparison"] == "tolerance"
+    assert cli.main([*argv, "--exact"]) == 0
+    out = json.loads(capsys.readouterr().out)["results"]
+    assert "/" in out["rhs"] and out["comparison"] == "exact"
 
 
 def test_eval_rootzeta(capsys):
@@ -200,9 +212,18 @@ def test_eval_rootzeta(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
 
+    argv = ["eval-rootzeta", "--rank", "2", "--svars", "2,2,2", "--M", "30"]
+    assert cli.main(argv) == 0
+    floating = json.loads(capsys.readouterr().out)["results"]
+    assert isinstance(floating["value"], float) and floating["tail_bound"] > 0
+    assert cli.main([*argv, "--exact"]) == 0
+    exact = json.loads(capsys.readouterr().out)["results"]
+    assert "/" in exact["value"] and exact["tail_bound"] is None
+    assert floating["value"] == pytest.approx(exact["value_float"], rel=1e-12)
+
 
 def test_eval_schur_cli(tmp_path, capsys):
-    code = cli.main(["eval-schur", "--shape", "2,2", "--z0", "3", "--z1", "2", "--zm1", "2",
+    code = cli.main(["eval-schur", "--shape", "2,2", "--content", "0=3,1=2,-1=2",
                      "--M", "4", "--exact"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -225,15 +246,24 @@ def test_eval_schur_cli(tmp_path, capsys):
     assert out["results"]["path"] == "row-window"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["eval-mzv", "--args", "2", "--M", "0"],
-        ["eval-mzv", "--args", "2", "--tolerance", "-1"],
-        ["job", "{tmp}/missing.json"],
-    ],
-)
-def test_bad_input_exits_one_without_traceback(argv, tmp_path, capsys):
+BAD_INPUTS = [
+    (["eval-mzv", "--args", "2", "--M", "0"], None),
+    (["eval-mzv", "--args", "2", "--tolerance", "-1"], None),
+    (["job", "{tmp}/missing.json"], None),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "cfg": [1]}),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": [1, 2]}),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "cfg": {"M": [1]}}),
+    (["job", "{tmp}/job.json"], {"command": ["eval-mzv"]}),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "threads": 2}),
+    (["eval-schur", "--shape", "2,2", "--z0", "2"], None),
+    (["eval-mzv", "--args", "2", "--threads", "2"], None),
+]
+
+
+@pytest.mark.parametrize("argv,job", BAD_INPUTS, ids=[f"argv{i}" for i in range(len(BAD_INPUTS))])
+def test_bad_input_exits_one_without_traceback(argv, job, tmp_path, capsys):
+    if job is not None:
+        (tmp_path / "job.json").write_text(json.dumps(job))
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err

@@ -204,6 +204,12 @@ def test_evaluate_expr_exact_fallback_note():
     e = FormalExpr((term(1, ("star", [0])),))
     res = evaluate_expr(e, {0: 2.5}, TruncationConfig(M=10, mode="exact"))
     assert "fell back" in res.note
+    # once fallen back, integer factors are summed in floats too, so their
+    # tails enter the bound
+    e = FormalExpr((term(1, ("star", [0]), ("strict", [1])),))
+    res = evaluate_expr(e, {0: 2.5, 1: 2}, TruncationConfig(M=10, mode="exact"))
+    floating = evaluate_expr(e, {0: 2.5, 1: 2}, TruncationConfig(M=10))
+    assert (res.value, res.tail_bound) == (floating.value, floating.tail_bound)
 
 
 def test_empty_expression_evaluates_to_zero():

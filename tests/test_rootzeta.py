@@ -4,20 +4,25 @@ from itertools import product
 
 import pytest
 
-from schurzeta.mzv import ConvergenceError, eval_ez_truncated
+from schurzeta.mzv import ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import Partition
 from schurzeta.rootzeta import (
     RootZetaArgs,
     canonical_pairs,
     check_root_domain,
-    eval_zeta_A,
-    eval_zeta_H,
-    eval_zeta_bullet,
-    eval_zeta_bullet_H,
+    eval_root_zeta,
     hook_series_truncated,
     shifted_chain_table,
 )
 from schurzeta.schur import VariableTableau, eval_schur_truncated
+
+
+def exact(M):
+    return TruncationConfig(M, "exact")
+
+
+def floating(M):
+    return TruncationConfig(M, "floating")
 
 
 def brute_force_root(args, M, d=0, x=None):
@@ -63,25 +68,25 @@ def test_check_root_domain():
 
 def test_rank_one_is_riemann():
     args = RootZetaArgs.full(1, [2])
-    res = eval_zeta_A(args, 4000)
+    res = eval_root_zeta(args, floating(4000))
     assert res.heuristic and res.tail_bound is not None
     # the doubling estimate is a heuristic; a pure 1/M tail sits exactly at
     # its boundary, hence the few-percent slack
-    assert abs(float(res.value) - math.pi**2 / 6) <= 1.05 * res.tail_bound
-    assert res.value == eval_ez_truncated([2], 4000)
+    assert abs(res.value - math.pi**2 / 6) <= 1.05 * res.tail_bound
+    assert eval_root_zeta(args, exact(4000)).value == eval_ez_truncated([2], 4000)
 
 
 def test_rank_two_against_brute_force():
     args = RootZetaArgs.full(2, [2, 2, 2])
     for M in (1, 2, 4):
-        assert eval_zeta_A(args, M).value == brute_force_root(args, M)
+        assert eval_root_zeta(args, exact(M)).value == brute_force_root(args, M)
 
 
 def test_rank_two_doubling_consistency():
     args = RootZetaArgs.full(2, [2, 2, 2])
-    v1 = eval_zeta_A(args, 30)
-    v2 = eval_zeta_A(args, 60)
-    assert abs(float(v2.value) - float(v1.value)) <= v1.tail_bound
+    v1 = eval_root_zeta(args, floating(30))
+    v2 = eval_root_zeta(args, floating(60))
+    assert abs(v2.value - v1.value) <= v1.tail_bound
 
 
 def test_first_row_reduces_to_mzv():
@@ -90,7 +95,7 @@ def test_first_row_reduces_to_mzv():
     # exactly and tends to zeta(2,2) as M grows
     args = RootZetaArgs.first_row([2, 2])
     for M in (2, 3, 5):
-        value = eval_zeta_A(args, M).value
+        value = eval_root_zeta(args, exact(M)).value
         direct = sum(
             Fraction(1, m1**2 * (m1 + m2) ** 2)
             for m1 in range(1, M + 1)
@@ -98,75 +103,108 @@ def test_first_row_reduces_to_mzv():
         )
         assert value == direct
     limit = math.pi**4 / 120
-    assert abs(float(eval_zeta_A(args, 60).value) - limit) < 0.05
+    assert abs(eval_root_zeta(args, floating(60)).value - limit) < 0.05
 
 
 def test_bullet_prime_rule():
     # the prime omits vanishing-base factors from the product, so the m=0
     # summand of the rank-1 series is an empty product contributing 1
     args = RootZetaArgs.full(1, [2])
-    res = eval_zeta_bullet(args, d=1, M=50)
+    res = eval_root_zeta(args, exact(50), d=1)
     assert res.value == 1 + eval_ez_truncated([2], 50)
 
 
 def test_bullet_d_zero_collapse():
     args = RootZetaArgs.full(2, [2, 2, 2])
-    assert eval_zeta_bullet(args, 0, 6).value == eval_zeta_A(args, 6).value
+    assert eval_root_zeta(args, exact(6), d=0).value == eval_root_zeta(args, exact(6)).value
 
 
 def test_bullet_d_range():
     args = RootZetaArgs.full(1, [2])
     with pytest.raises(ValueError):
-        eval_zeta_bullet(args, 2, 5)
+        eval_root_zeta(args, exact(5), d=2)
     with pytest.raises(ValueError):
-        eval_zeta_bullet(args, -1, 5)
+        eval_root_zeta(args, exact(5), d=-1)
 
 
 def test_bullet_first_row_example():
     args = RootZetaArgs.first_row([2, 3])
-    assert eval_zeta_bullet(args, d=1, M=2).value == brute_force_root(args, 2, d=1)
+    assert eval_root_zeta(args, exact(2), d=1).value == brute_force_root(args, 2, d=1)
 
 
 def test_H_shift():
     args = RootZetaArgs.full(1, [2])
-    res = eval_zeta_H(args, 1, 50)
+    res = eval_root_zeta(args, exact(50), x=1)
     assert res.value == eval_ez_truncated([2], 51) - 1
-    half = eval_zeta_H(args, Fraction(1, 2), 20)
+    half = eval_root_zeta(args, exact(20), x=Fraction(1, 2))
     direct = sum(Fraction(1, (Fraction(1, 2) + m) ** 2) for m in range(1, 21))
     assert half.value == direct
+    # a float shift is not summed in Fractions, even in exact mode
+    shifted = eval_root_zeta(args, exact(20), x=0.5)
+    assert shifted.value == pytest.approx(float(direct), rel=1e-12)
+    assert shifted.tail_bound is not None and "rational shift" in shifted.note
     with pytest.raises(ValueError):
-        eval_zeta_H(args, 0, 5)
+        eval_root_zeta(args, exact(5), x=0)
     with pytest.raises(ValueError):
-        eval_zeta_H(args, -1.0, 5)
+        eval_root_zeta(args, exact(5), x=-1.0)
 
 
 def test_H_single_term():
     args = RootZetaArgs.first_row([2, 3])
-    res = eval_zeta_H(args, 2, 1)
+    res = eval_root_zeta(args, exact(1), x=2)
     assert res.value == Fraction(1, 3**2 * 4**3)
 
 
 def test_bullet_H():
     args = RootZetaArgs.full(1, [2])
-    res = eval_zeta_bullet_H(args, d=1, x=1, M=50)
+    res = eval_root_zeta(args, exact(50), d=1, x=1)
     assert res.value == eval_ez_truncated([2], 51)  # index shift onto 1..M+1
-    assert eval_zeta_bullet_H(args, 0, 1, 20).value == eval_zeta_H(args, 1, 20).value
+    assert eval_root_zeta(args, exact(20), d=0, x=1).value == eval_root_zeta(args, exact(20), x=1).value
     args2 = RootZetaArgs.first_row([2, 2])
-    assert eval_zeta_bullet_H(args2, 2, 1, 2).value == brute_force_root(args2, 2, d=2, x=1)
+    assert eval_root_zeta(args2, exact(2), d=2, x=1).value == brute_force_root(args2, 2, d=2, x=1)
 
 
 def test_first_row_agrees_with_full_zeros():
     fr = RootZetaArgs.first_row([2, 3])
     full = RootZetaArgs.full(2, [2, 0, 3])  # canonical order: (1,2), (2,3), (1,3)
     for M in (2, 4):
-        assert eval_zeta_A(fr, M).value == eval_zeta_A(full, M).value
-        assert eval_zeta_bullet(fr, 1, M).value == eval_zeta_bullet(full, 1, M).value
-        assert eval_zeta_H(fr, 1, M).value == eval_zeta_H(full, 1, M).value
+        for d, x in ((0, None), (1, None), (0, 1)):
+            assert eval_root_zeta(fr, exact(M), d, x).value == eval_root_zeta(full, exact(M), d, x).value
 
 
 def test_convergence_heuristic_enforced():
     with pytest.raises(ConvergenceError):
-        eval_zeta_A(RootZetaArgs.first_row([2, 1]), 5)
+        eval_root_zeta(RootZetaArgs.first_row([2, 1]), exact(5))
+
+
+# plain; bullet with d=1; H with x=1; bullet-H with d=1, x=1, all at rank 2
+VARIANTS = [(0, None), (1, None), (0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("d,x", VARIANTS)
+def test_floating_mode_sums_in_floats(d, x):
+    args = RootZetaArgs.full(2, [2, 2, 2])
+    res = eval_root_zeta(args, floating(12), d, x)
+    want = eval_root_zeta(args, exact(12), d, x).value
+    assert type(res.value) is float and res.heuristic and res.tail_bound is not None
+    assert abs(res.value - float(want)) <= 1e-12 * float(want)
+
+
+@pytest.mark.parametrize("d,x", VARIANTS)
+def test_exact_mode_returns_the_fraction_at_M(d, x):
+    args = RootZetaArgs.full(2, [2, 2, 2])
+    res = eval_root_zeta(args, exact(3), d, x)
+    assert isinstance(res.value, Fraction) and res.tail_bound is None and not res.heuristic
+    assert res.value == brute_force_root(args, 3, d, x)
+
+
+@pytest.mark.parametrize("d,x", VARIANTS)
+def test_exact_mode_falls_back_on_float_exponents(d, x):
+    args = RootZetaArgs.full(2, [2, 2.5, 2])
+    res = eval_root_zeta(args, exact(6), d, x)
+    assert type(res.value) is float and res.tail_bound is not None
+    assert "fell back to floating" in res.note
+    assert res.value == eval_root_zeta(args, floating(6), d, x).value
 
 
 # --- coupled-truncation chains and the hook rewrite ---

@@ -201,6 +201,13 @@ def test_antihook_rhs_expansion_k1_l1():
     assert res.value == expected
 
 
+def test_antihook_rhs_fallback_sums_every_factor_in_floats():
+    exact = eval_skew_antihook_rhs([2, 2.5], [2], TruncationConfig(M=50, mode="exact"))
+    floating = eval_skew_antihook_rhs([2, 2.5], [2], TruncationConfig(M=50))
+    assert "fell back" in exact.note
+    assert (exact.value, exact.tail_bound) == (floating.value, floating.tail_bound)
+
+
 def test_antihook_exact_matches_brute_force():
     rng = random.Random(9)
     for k in (1, 2):
