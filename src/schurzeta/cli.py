@@ -14,12 +14,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from numbers import Number
 
 from .expressions import (
     FormalExpr,
-    eval_thm42,
+    _check_thm42_domain,
     evaluate_expr,
     expand_giambelli,
     expand_giambelli_terms,
@@ -27,6 +28,7 @@ from .expressions import (
     giambelli_det_expr,
 )
 from .mzv import (
+    ContentAssignment,
     ConvergenceError,
     EvalResult,
     TruncationConfig,
@@ -35,10 +37,10 @@ from .mzv import (
     value_to_json,
 )
 from .partitions import Partition, SkewShape
-from .rootzeta import RootZetaArgs, _det, eval_root_zeta
+from .rootzeta import RootZetaArgs, _det, chain_determinant, eval_root_zeta
 from .schur import (
     VariableTableau,
-    _eval_schur_by_definition,
+    _refuse_outside_W_lambda,
     antihook_tableau,
     eval_schur,
     eval_schur_truncated,
@@ -92,10 +94,21 @@ def _parse_partition(text: str) -> Partition:
         raise UsageError(f"bad partition {text!r}: {err}") from None
 
 
+def _parse_value(v, field: str):
+    """One exponent of a JSON mapping: a number, its text, or [re, im]."""
+    if isinstance(v, str):
+        return _parse_number(v)
+    if isinstance(v, Number) and not isinstance(v, bool):
+        return v
+    if isinstance(v, list) and 1 <= len(v) <= 2 and all(isinstance(t, (int, float)) for t in v):
+        return complex(*v)
+    raise UsageError(f"{field} values must be numbers or [re, im], got {v!r}")
+
+
 def _parse_content(text) -> dict:
     """'0=3,1=2,-1=2' or a JSON-style mapping into {index: value}."""
     if isinstance(text, dict):
-        return {int(k): v if not isinstance(v, list) else complex(*v) for k, v in text.items()}
+        return {int(k): _parse_value(v, "content") for k, v in text.items()}
     out = {}
     for item in str(text).split(","):
         if not item.strip():
@@ -121,13 +134,21 @@ def _env(name: str, default, cast):
 # job specification
 # ---------------------------------------------------------------------------
 
+# the JSON types each parameter takes, null counting as absent; integers and
+# partitions may also come as text, such as "2" or "2,2"
+_ARRAY, _BOOL, _TEXT, _WHOLE, _MAPPING = (list,), (bool,), (str,), (int, str), (dict, str)
 _COMMAND_PARAMS = {
-    "eval-mzv": {"args", "star"},
-    "eval-schur": {"shape", "inner", "content", "cells"},
-    "eval-rootzeta": {"rank", "variant", "svars", "first_row", "d", "x"},
-    "expand": {"target", "p", "q", "shape", "variant", "collected"},
-    "verify": {"identity", "p", "q", "shape", "content", "bottom", "column"},
+    "eval-mzv": {"args": _ARRAY, "star": _BOOL},
+    "eval-schur": {"shape": _WHOLE, "inner": _WHOLE, "content": _MAPPING, "cells": (dict,)},
+    "eval-rootzeta": {"rank": _WHOLE, "variant": _TEXT, "svars": _ARRAY, "first_row": _ARRAY,
+                      "d": _WHOLE, "x": (int, float, str)},
+    "expand": {"target": _TEXT, "p": _WHOLE, "q": _WHOLE, "shape": _WHOLE, "variant": _TEXT,
+               "collected": _BOOL},
+    "verify": {"identity": _TEXT, "p": _WHOLE, "q": _WHOLE, "shape": _WHOLE, "content": _MAPPING,
+               "bottom": _ARRAY, "column": _ARRAY},
 }
+_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
 
 
 @dataclass
@@ -143,11 +164,15 @@ class JobSpec:
         if not isinstance(self.command, str) or self.command not in _COMMAND_PARAMS:
             raise UsageError(f"unknown command {self.command!r}")
         allowed = _COMMAND_PARAMS[self.command]
-        unknown = set(self.params) - allowed
+        unknown = set(self.params) - set(allowed)
         if unknown:
             raise UsageError(
                 f"unknown field(s) for {self.command}: {', '.join(sorted(unknown))}"
             )
+        for name, value in self.params.items():
+            if value is not None and not isinstance(value, allowed[name]):
+                expected = " or ".join(_JSON_NAMES[t] for t in allowed[name])
+                raise UsageError(f"{self.command} field {name!r} must be {expected}, got {value!r}")
         if self.output not in ("json", "plain", "latex"):
             raise UsageError(f"output must be json, plain or latex, got {self.output!r}")
 
@@ -234,7 +259,7 @@ def _schur_tableau(params: dict) -> VariableTableau:
         cells = {}
         for key, v in params["cells"].items():
             i, j = (int(t) for t in str(key).split(","))
-            cells[(i, j)] = v if not isinstance(v, list) else complex(*v)
+            cells[(i, j)] = _parse_value(v, "cells")
         return VariableTableau.from_cells(skew, cells)
     content = _parse_content(_require(params, "content", "eval-schur"))
     return VariableTableau.from_content(skew, content)
@@ -262,27 +287,6 @@ def _run_eval_rootzeta(spec: JobSpec) -> dict:
     return {"results": _result_payload(res)}
 
 
-def _expr_plain(expr: FormalExpr) -> str:
-    if not expr.terms:
-        return "0"
-    parts = []
-    for t in expr.terms:
-        body = "*".join(
-            ("zeta*" if f.kind == "star" else "zeta") + "(" + ",".join(f"z{k}" for k in f.args) + ")"
-            for f in t.factors
-        )
-        mag = abs(t.coefficient)
-        if not body:
-            piece = str(mag)
-        else:
-            piece = (f"{mag}*" if mag != 1 else "") + body
-        if not parts:
-            parts.append(("-" if t.coefficient < 0 else "") + piece)
-        else:
-            parts.append(("- " if t.coefficient < 0 else "+ ") + piece)
-    return " ".join(parts)
-
-
 def _run_expand(spec: JobSpec) -> dict:
     params = spec.params
     target = _require(params, "target", "expand")
@@ -305,86 +309,65 @@ def _run_expand(spec: JobSpec) -> dict:
             "terms": expr.to_json(),
             "term_count": len(expr),
             "latex": expr.latex(),
-            "plain": _expr_plain(expr),
+            "plain": expr.plain(),
         }
     }
 
 
-def _giambelli_matrix_value(lam: Partition, content: dict, cfg: TruncationConfig):
+def _giambelli_matrix_value(lam: Partition, content: ContentAssignment, M: int, exact: bool):
     """Determinant of the hook-shape Schur values, by direct tableau sums."""
-    grid = [
-        [VariableTableau.from_content(entry.shape, content) for entry in row]
+    return _det([
+        [eval_schur_truncated(VariableTableau.from_content(e.shape, content), M, exact) for e in row]
         for row in giambelli_det_expr(lam)
-    ]
-    exact, _ = _arithmetic(cfg, (v for row in grid for vt in row for v in vt.cell_values.values()))
-    return _det([[eval_schur_truncated(vt, cfg.M, exact) for vt in row] for row in grid])
+    ])
 
 
 def _run_verify(spec: JobSpec) -> dict:
+    """Both sides truncated at the same M, where every identity holds
+    exactly: the Schur side summed over tableaux, the other side by the
+    identity's closed form, in one arithmetic."""
     params = spec.params
-    cfg = spec.cfg
     identity = _require(params, "identity", "verify")
     if identity not in VERIFY_IDENTITIES:
         raise UsageError(f"identity must be one of {', '.join(VERIFY_IDENTITIES)}")
-    content = _parse_content(params.get("content") or {})
-
-    def schur_value(vt: VariableTableau):
-        # summed over tableaux: eval_schur's closed forms are what is checked
-        if cfg.is_exact:
-            return eval_schur_truncated(vt, cfg.M), 0.0
-        res = _eval_schur_by_definition(vt, cfg)
-        return res.value, res.tail_bound or 0.0
-
-    def make_sides():
-        if identity in ("hook1", "hook2"):
-            p = int(_require(params, "p", "verify"))
-            q = int(_require(params, "q", "verify"))
-            vt = VariableTableau.from_content(Partition.hook(p, q), content)
-            rhs = evaluate_expr(expand_hook(p, q, identity), content, cfg)
-            return (lambda: schur_value(vt)), (lambda: (rhs.value, rhs.tail_bound or 0.0))
-        if identity == "antihook":
-            bottom = [_parse_number(str(v)) for v in _require(params, "bottom", "verify")]
-            column = [_parse_number(str(v)) for v in _require(params, "column", "verify")]
-            vt = antihook_tableau(bottom, column)
-            return (
-                lambda: schur_value(vt),
-                lambda: (
-                    (r := eval_skew_antihook_rhs(bottom, column, cfg)).value,
-                    r.tail_bound or 0.0,
-                ),
-            )
+    content = ContentAssignment(_parse_content(params.get("content") or {}))
+    if identity in ("hook1", "hook2"):
+        p = int(_require(params, "p", "verify"))
+        q = int(_require(params, "q", "verify"))
+        vt = VariableTableau.from_content(Partition.hook(p, q), content)
+        expr = expand_hook(p, q, identity)
+    elif identity == "antihook":
+        bottom = [_parse_number(str(v)) for v in _require(params, "bottom", "verify")]
+        column = [_parse_number(str(v)) for v in _require(params, "column", "verify")]
+        vt = antihook_tableau(bottom, column)
+    else:
         lam = _parse_partition(_require(params, "shape", "verify"))
         vt = VariableTableau.from_content(lam, content)
-        if identity == "giambelli":
-            return (
-                lambda: schur_value(vt),
-                lambda: (_giambelli_matrix_value(lam, content, cfg), 0.0),
-            )
         if identity in ("thm41", "thm41-reversed"):
-            variant = "standard" if identity == "thm41" else "reversed"
-            expr = expand_giambelli(lam, variant)
-            return (
-                lambda: schur_value(vt),
-                lambda: ((r := evaluate_expr(expr, content, cfg)).value, r.tail_bound or 0.0),
-            )
-        # thm42
-        return (
-            lambda: schur_value(vt),
-            lambda: ((r := eval_thm42(lam, content, cfg.M)).value, r.tail_bound or 0.0),
-        )
+            expr = expand_giambelli(lam, "standard" if identity == "thm41" else "reversed")
 
-    lhs_f, rhs_f = make_sides()
-    (lhs, lhs_bound), (rhs, rhs_bound) = lhs_f(), rhs_f()
-
-    exact_compare = isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
-    difference = lhs - rhs if exact_compare else complex(lhs) - complex(rhs)
-    if isinstance(difference, complex) and difference.imag == 0:
-        difference = difference.real
-    if exact_compare:
-        equal = lhs == rhs
-        threshold = 0.0
+    exact, _ = _arithmetic(spec.cfg, vt.cell_values.values())
+    cfg = replace(spec.cfg, mode="exact" if exact else "floating")
+    if not spec.cfg.is_exact:  # floating sides stand for series, which converge only there
+        _refuse_outside_W_lambda(vt)
+    if identity == "antihook":
+        rhs = eval_skew_antihook_rhs(bottom, column, cfg).value
+    elif identity == "giambelli":
+        rhs = _giambelli_matrix_value(lam, content, cfg.M, exact)
+    elif identity == "thm42":
+        _check_thm42_domain(lam, content)
+        rhs = chain_determinant(lam.frobenius(), content, cfg.M, exact)
     else:
-        threshold = lhs_bound + rhs_bound + cfg.tolerance
+        rhs = evaluate_expr(expr, content, cfg).value
+    lhs = eval_schur_truncated(vt, cfg.M, exact)
+
+    if exact:
+        difference, threshold, equal = lhs - rhs, 0.0, lhs == rhs
+    else:
+        difference = complex(lhs) - complex(rhs)
+        if difference.imag == 0:
+            difference = difference.real
+        threshold = cfg.tolerance
         equal = abs(difference) <= threshold
     return {
         "results": {
@@ -392,7 +375,7 @@ def _run_verify(spec: JobSpec) -> dict:
             "lhs": value_to_json(lhs),
             "rhs": value_to_json(rhs),
             "difference": value_to_json(difference),
-            "comparison": "exact" if exact_compare else "tolerance",
+            "comparison": "exact" if exact else "tolerance",
             "threshold": threshold,
             "equal": bool(equal),
         },
@@ -596,7 +579,12 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     code, report = run(spec)
-    print(_render(report, spec.output))
+    try:
+        print(_render(report, spec.output))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; keep the exit-time flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .mzv import (
     ConvergenceError,
@@ -56,6 +56,10 @@ class ZetaSymbol:
         head = r"\zeta^{\star}" if self.kind == "star" else r"\zeta"
         body = ", ".join(f"z_{{{k}}}" for k in self.args)
         return f"{head}({body})"
+
+    def plain(self) -> str:
+        head = "zeta*" if self.kind == "star" else "zeta"
+        return head + "(" + ",".join(f"z{k}" for k in self.args) + ")"
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "args": list(self.args)}
@@ -131,22 +135,30 @@ class FormalExpr:
             )
         )
 
-    def latex(self) -> str:
+    def render(self, symbol: Callable[[ZetaSymbol], str], times: str, scale: str) -> str:
+        """The signed terms: the coefficient's magnitude and `scale` unless it
+        is 1, then the factors drawn by `symbol` and joined by `times`."""
         if not self.terms:
             return "0"
         parts = []
         for t in self.terms:
-            body = r"\,".join(f.latex() for f in t.factors)
+            body = times.join(symbol(f) for f in t.factors)
             mag = abs(t.coefficient)
             if not body:
                 piece = str(mag)
             else:
-                piece = (f"{mag} " if mag != 1 else "") + body
+                piece = (f"{mag}{scale}" if mag != 1 else "") + body
             if not parts:
                 parts.append(("-" if t.coefficient < 0 else "") + piece)
             else:
                 parts.append(("- " if t.coefficient < 0 else "+ ") + piece)
         return " ".join(parts)
+
+    def latex(self) -> str:
+        return self.render(ZetaSymbol.latex, r"\,", " ")
+
+    def plain(self) -> str:
+        return self.render(ZetaSymbol.plain, "*", "*")
 
 
 def normalize(expr: FormalExpr) -> FormalExpr:
@@ -346,6 +358,21 @@ def evaluate_expr(
     return EvalResult(value, bound, cfg.M, note=note)
 
 
+def _check_thm42_domain(lam: Partition, assignment: ContentAssignment) -> None:
+    """Refuse a Thm 4.2 series that diverges: Re(z_0) <= 1 on the diagonal,
+    or an arm chain z_1..z_p or leg chain z_-1..z_-q outside the
+    Euler-Zagier domain."""
+    f = lam.frobenius()
+    if not complex(assignment[0]).real > 1:
+        raise ConvergenceError("need Re(z_0) > 1 for the diagonal sum")
+    for pk in set(f.p):
+        if not check_ez_domain(assignment.sequence(range(1, pk + 1)), star=True):
+            raise ConvergenceError(f"arm chain z_1..z_{pk} diverges")
+    for qj in set(f.q):
+        if not check_ez_domain(assignment.sequence(range(-1, -qj - 1, -1))):
+            raise ConvergenceError(f"leg chain z_-1..z_-{qj} diverges")
+
+
 def eval_thm42(
     lam: Partition, assignment: ContentAssignment | Mapping[int, Number], M: int
 ) -> EvalResult:
@@ -360,21 +387,10 @@ def eval_thm42(
         assignment = ContentAssignment(assignment)
     if M < 1:
         raise ValueError("M must be >= 1")
+    _check_thm42_domain(lam, assignment)
     f = lam.frobenius()
-    z0 = assignment[0]
-    if not complex(z0).real > 1:
-        raise ConvergenceError("need Re(z_0) > 1 for the diagonal sum")
-    plus = {pk: assignment.sequence(range(1, pk + 1)) for pk in set(f.p)}
-    minus = {qj: assignment.sequence(tuple(-t for t in range(1, qj + 1))) for qj in set(f.q)}
-    for pk, vals in plus.items():
-        if vals and not check_ez_domain(vals, star=True):
-            raise ConvergenceError(f"arm chain z_1..z_{pk} diverges")
-    for qj, vals in minus.items():
-        if vals and not check_ez_domain(vals):
-            raise ConvergenceError(f"leg chain z_-1..z_-{qj} diverges")
-    exact = exact_exponent(z0) is not None and all(
-        exact_exponent(v) is not None for vals in (*plus.values(), *minus.values()) for v in vals
-    )
+    # z_0 and the longest arm and leg chains: every exponent the series uses
+    exact = all(exact_exponent(assignment[k]) is not None for k in range(-f.q[0], f.p[0] + 1))
     res = _doubling_result(lambda m: chain_determinant(f, assignment, m, exact), M)
     if not exact and isinstance(res.value, complex) and res.value.imag == 0:
         res.value = res.value.real

@@ -117,6 +117,13 @@ def check_W_lambda(vt: VariableTableau) -> bool:
     return True
 
 
+def _refuse_outside_W_lambda(vt: VariableTableau) -> None:
+    if not check_W_lambda(vt):
+        raise ConvergenceError(
+            "exponents violate the convergence region (need Re >= 1, > 1 at corners)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # exact path: depth-first enumeration with running products
 # ---------------------------------------------------------------------------
@@ -329,10 +336,6 @@ def _content_assignment(vt: VariableTableau) -> ContentAssignment | None:
     return ContentAssignment(z)
 
 
-def _by_definition(vt: VariableTableau, exact: bool):
-    return ("enumeration" if exact else "row-window"), lambda M: eval_schur_truncated(vt, M, exact)
-
-
 def _route(vt: VariableTableau, exact: bool):
     """(path, M -> truncated sum): a closed form where the shape has one."""
     z = _content_assignment(vt)
@@ -342,23 +345,7 @@ def _route(vt: VariableTableau, exact: bool):
     sides = _antihook_sides(vt)
     if sides is not None:
         return "antihook", lambda M: _antihook_sum(*sides, M, exact)
-    return _by_definition(vt, exact)
-
-
-def _evaluate(vt: VariableTableau, cfg: TruncationConfig, route) -> EvalResult:
-    note = ""
-    if not vt.shape.is_straight():
-        note = "skew shape: convergence checked with the same corner rule, heuristically"
-    if not check_W_lambda(vt):
-        raise ConvergenceError(
-            "exponents violate the convergence region (need Re >= 1, > 1 at corners)"
-        )
-    exact, fallback = _arithmetic(cfg, vt.cell_values.values())
-    note = "; ".join(filter(None, (note, fallback)))
-    path, truncated = route(vt, exact)
-    if exact:
-        return EvalResult(truncated(cfg.M), None, cfg.M, note=note, path=path)
-    return _doubling_result(truncated, cfg.M, note=note, path=path)
+    return ("enumeration" if exact else "row-window"), lambda M: eval_schur_truncated(vt, M, exact)
 
 
 def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
@@ -369,14 +356,16 @@ def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
     sum for reversed hooks, else the sum by definition (enumeration in
     exact mode, the row window in floating mode).
     """
-    return _evaluate(vt, cfg, _route)
-
-
-def _eval_schur_by_definition(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
-    """eval_schur summed over tableaux whatever the shape, so that an
-    identity with a closed form on its other side is not checked against
-    itself."""
-    return _evaluate(vt, cfg, _by_definition)
+    note = ""
+    if not vt.shape.is_straight():
+        note = "skew shape: convergence checked with the same corner rule, heuristically"
+    _refuse_outside_W_lambda(vt)
+    exact, fallback = _arithmetic(cfg, vt.cell_values.values())
+    note = "; ".join(filter(None, (note, fallback)))
+    path, truncated = _route(vt, exact)
+    if exact:
+        return EvalResult(truncated(cfg.M), None, cfg.M, note=note, path=path)
+    return _doubling_result(truncated, cfg.M, note=note, path=path)
 
 
 # ---------------------------------------------------------------------------

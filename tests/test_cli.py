@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,13 +196,53 @@ def test_out_of_memory_exits_one(monkeypatch):
 
 
 def test_verify_giambelli_follows_the_mode(capsys):
-    argv = ["verify", "giambelli", "--shape", "2,2", "--content", "0=3,1=2,-1=2", "--M", "8"]
+    for identity in ("giambelli", "thm42"):
+        argv = ["verify", identity, "--shape", "2,2", "--content", "0=3,1=2,-1=2", "--M", "8"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)["results"]
+        assert isinstance(out["lhs"], float) and isinstance(out["rhs"], float)
+        assert out["comparison"] == "tolerance"
+        assert cli.main([*argv, "--exact"]) == 0
+        out = json.loads(capsys.readouterr().out)["results"]
+        assert "/" in out["rhs"] and out["comparison"] == "exact"
+
+
+def test_verify_threshold_is_the_tolerance(capsys):
+    argv = ["verify", "thm41", "--shape", "3,2,1", "--content", "0=3,1=2,2=2,-1=2,-2=2",
+            "--M", "300", "--tolerance", "1e-9"]
     assert cli.main(argv) == 0
     out = json.loads(capsys.readouterr().out)["results"]
-    assert isinstance(out["rhs"], float) and out["comparison"] == "tolerance"
-    assert cli.main([*argv, "--exact"]) == 0
+    assert out["threshold"] == 1e-9
+    assert abs(out["difference"]) <= 1e-12
+
+
+def _scaled(fn, attr=None):
+    """fn with its value, or its result's `attr`, scaled by 1 + 1e-6."""
+    def wrapped(*args, **kwargs):
+        res = fn(*args, **kwargs)
+        if attr is None:
+            return res * (1 + 1e-6)
+        setattr(res, attr, getattr(res, attr) * (1 + 1e-6))
+        return res
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "argv,patch",
+    [
+        (["verify", "hook1", "--p", "1", "--q", "1", "--content", "0=2,1=2,-1=2"],
+         ("evaluate_expr", "value")),
+        (["verify", "thm42", "--shape", "2,2", "--content", "0=3,1=2,-1=2"],
+         ("chain_determinant", None)),
+    ],
+    ids=["hook1", "thm42"],
+)
+def test_verify_catches_a_side_off_by_one_part_in_a_million(argv, patch, monkeypatch, capsys):
+    name, attr = patch
+    monkeypatch.setattr(cli, name, _scaled(getattr(cli, name), attr))
+    assert cli.main([*argv, "--M", "50"]) == 2
     out = json.loads(capsys.readouterr().out)["results"]
-    assert "/" in out["rhs"] and out["comparison"] == "exact"
+    assert out["equal"] is False and out["comparison"] == "tolerance"
 
 
 def test_eval_rootzeta(capsys):
@@ -257,6 +301,9 @@ BAD_INPUTS = [
     (["job", "{tmp}/job.json"], {"command": "eval-mzv", "threads": 2}),
     (["eval-schur", "--shape", "2,2", "--z0", "2"], None),
     (["eval-mzv", "--args", "2", "--threads", "2"], None),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": {"args": 5}}),
+    (["job", "{tmp}/job.json"], {"command": "eval-rootzeta", "params": {"rank": [2]}}),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": {"args": [2], "star": "no"}}),
 ]
 
 
@@ -268,3 +315,47 @@ def test_bad_input_exits_one_without_traceback(argv, job, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_wrong_param_type_names_the_field(tmp_path, capsys):
+    (tmp_path / "job.json").write_text(json.dumps({"command": "eval-mzv", "params": {"args": 5}}))
+    assert cli.main(["job", str(tmp_path / "job.json")]) == 1
+    assert "'args' must be an array, got 5" in capsys.readouterr().err
+
+
+def test_bad_content_value_exits_one(tmp_path, capsys):
+    job = {"command": "eval-schur", "params": {"shape": "2,2", "content": {"0": {}, "1": 2, "-1": 2}}}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    assert cli.main(["job", str(tmp_path / "job.json")]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error" and "content" in out["error"]
+
+
+def test_fraction_content_round_trips(capsys):
+    argv = ["verify", "hook1", "--p", "1", "--q", "1", "--content", "0=5/2,1=2,-1=2", "--M", "6"]
+    assert cli.main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    code, again = run(JobSpec.from_json(first["inputs"]))
+    assert code == 0 and again["results"] == first["results"]
+
+
+def test_expand_plain_and_latex(capsys):
+    assert cli.main(["expand", "hook1", "--p", "1", "--q", "1", "--format", "plain"]) == 0
+    out = capsys.readouterr().out
+    assert "plain: -zeta*(z-1,z0,z1) + zeta*(z0,z1)*zeta(z-1)\n" in out
+    assert r"latex: -\zeta^{\star}(z_{-1}, z_{0}, z_{1}) + \zeta^{\star}(z_{0}, z_{1})\,\zeta(z_{-1})" in out
+
+
+def test_closed_stdout_exits_without_traceback():
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurzeta.cli", "eval-mzv", "--args", "2", "--M", "10"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
