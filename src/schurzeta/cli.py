@@ -348,7 +348,7 @@ def _run_verify(spec: JobSpec) -> dict:
 
     exact, _ = _arithmetic(spec.cfg, vt.cell_values.values())
     cfg = replace(spec.cfg, mode="exact" if exact else "floating")
-    if not spec.cfg.is_exact:  # floating sides stand for series, which converge only there
+    if not exact:  # floating sides stand for series, which converge only there
         _refuse_outside_W_lambda(vt)
     if identity == "antihook":
         rhs = eval_skew_antihook_rhs(bottom, column, cfg).value

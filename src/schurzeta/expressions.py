@@ -181,6 +181,27 @@ def normalize(expr: FormalExpr) -> FormalExpr:
 # ---------------------------------------------------------------------------
 
 
+def _hook_terms(p: int, q: int, variant: str) -> list[tuple[int, tuple[ZetaSymbol, ...]]]:
+    """The (sign, factors) terms of the hook (p+1, 1^q) in summation order;
+    the empty trailing factor at the boundary index is omitted."""
+    terms = []
+    if variant == "hook1":
+        for j in range(q + 1):
+            factors = (ZetaSymbol("star", tuple(range(-j, p + 1))),)
+            if j < q:
+                factors += (ZetaSymbol("strict", tuple(range(-j - 1, -q - 1, -1))),)
+            terms.append(((-1) ** j, factors))
+    elif variant == "hook2":
+        for j in range(p + 1):
+            factors = (ZetaSymbol("strict", tuple(range(j, -q - 1, -1))),)
+            if j < p:
+                factors += (ZetaSymbol("star", tuple(range(j + 1, p + 1))),)
+            terms.append(((-1) ** j, factors))
+    else:
+        raise ValueError(f"variant must be 'hook1' or 'hook2', got {variant!r}")
+    return terms
+
+
 def expand_hook(p: int, q: int, variant: str = "hook1") -> FormalExpr:
     """The alternating star-times-strict expansion of the hook (p+1, 1^q).
 
@@ -189,22 +210,7 @@ def expand_hook(p: int, q: int, variant: str = "hook1") -> FormalExpr:
     """
     if p < 0 or q < 0:
         raise ValueError("hook arm and leg must be >= 0")
-    terms = []
-    if variant == "hook1":
-        for j in range(q + 1):
-            factors = [ZetaSymbol("star", tuple(range(-j, p + 1)))]
-            if j < q:
-                factors.append(ZetaSymbol("strict", tuple(range(-j - 1, -q - 1, -1))))
-            terms.append(FormalTerm((-1) ** j, tuple(factors)))
-    elif variant == "hook2":
-        for j in range(p + 1):
-            factors = [ZetaSymbol("strict", tuple(range(j, -q - 1, -1)))]
-            if j < p:
-                factors.append(ZetaSymbol("star", tuple(range(j + 1, p + 1))))
-            terms.append(FormalTerm((-1) ** j, tuple(factors)))
-    else:
-        raise ValueError(f"variant must be 'hook1' or 'hook2', got {variant!r}")
-    return normalize(FormalExpr(tuple(terms)))
+    return normalize(FormalExpr(tuple(FormalTerm(c, f) for c, f in _hook_terms(p, q, variant))))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +258,30 @@ def expand_grid_determinant(grid: Sequence[Sequence[HookEntry]], variant: str = 
     return normalize(det(mat))
 
 
+def _slot_table(lam: Partition, variant: str) -> list[list[list[tuple[int, tuple[ZetaSymbol, ...]]]]]:
+    """The N x N per-slot term lists of the permutation sum: slot (k, c) is
+    the hook with arm p_c and leg q_k, expanded as hook1 (standard) or hook2
+    (reversed), its terms in the order of the slot's index j."""
+    if variant not in ("standard", "reversed"):
+        raise ValueError(f"variant must be 'standard' or 'reversed', got {variant!r}")
+    f = lam.frobenius()
+    hook = "hook1" if variant == "standard" else "hook2"
+    return [[_hook_terms(f.p[c], f.q[k], hook) for c in range(f.n)] for k in range(f.n)]
+
+
+def _permutation_sum(table: Sequence[Sequence[Sequence[tuple[int, tuple]]]]) -> Iterator[tuple[int, tuple]]:
+    """(coefficient, concatenated items) over every permutation sigma and
+    every choice of one term per slot (k, sigma(k)), signed by sgn(sigma)."""
+    for sigma in permutations(range(len(table))):
+        sgn = _perm_sign(sigma)
+        for choice in product(*(table[k][c] for k, c in enumerate(sigma))):
+            coeff, items = sgn, ()
+            for sign, part in choice:
+                coeff *= sign
+                items += part
+            yield coeff, items
+
+
 def expand_giambelli_terms(lam: Partition, variant: str = "standard") -> Iterator[FormalTerm]:
     """Raw terms of the permutation-sum expansion, before collection.
 
@@ -260,39 +290,35 @@ def expand_giambelli_terms(lam: Partition, variant: str = "standard") -> Iterato
     sgn(sigma) * (-1)^(j_1+...+j_N). reversed swaps the roles: strict factors
     carry z_{j_k}..z_{-q_k} and star factors z_{j_k+1}..z_{p_sigma(k)}.
     """
-    if variant not in ("standard", "reversed"):
-        raise ValueError(f"variant must be 'standard' or 'reversed', got {variant!r}")
-    f = lam.frobenius()
-    n = f.n
-    for sigma in permutations(range(n)):
-        sgn = _perm_sign(sigma)
-        if variant == "standard":
-            ranges = [range(f.q[k] + 1) for k in range(n)]
-        else:
-            ranges = [range(f.p[sigma[k]] + 1) for k in range(n)]
-        for js in product(*ranges):
-            coeff = sgn * (-1) ** sum(js)
-            factors = []
-            for k in range(n):
-                j = js[k]
-                if variant == "standard":
-                    factors.append(ZetaSymbol("star", tuple(range(-j, f.p[sigma[k]] + 1))))
-                    if j < f.q[k]:
-                        factors.append(
-                            ZetaSymbol("strict", tuple(range(-j - 1, -f.q[k] - 1, -1)))
-                        )
-                else:
-                    factors.append(ZetaSymbol("strict", tuple(range(j, -f.q[k] - 1, -1))))
-                    if j < f.p[sigma[k]]:
-                        factors.append(
-                            ZetaSymbol("star", tuple(range(j + 1, f.p[sigma[k]] + 1)))
-                        )
-            yield FormalTerm(coeff, tuple(factors))
+    for coeff, factors in _permutation_sum(_slot_table(lam, variant)):
+        yield FormalTerm(coeff, factors)
 
 
 def expand_giambelli(lam: Partition, variant: str = "standard") -> FormalExpr:
-    """The collected permutation-sum expansion of the Giambelli determinant."""
-    return normalize(FormalExpr(tuple(expand_giambelli_terms(lam, variant))))
+    """The collected permutation-sum expansion of the Giambelli determinant.
+
+    Like terms are collected on sorted tuples of symbol ranks, ranked in
+    sort_key order, so that only the surviving terms are built; the result
+    equals normalize over expand_giambelli_terms.
+    """
+    table = _slot_table(lam, variant)
+    symbols = sorted(
+        {f for row in table for slot in row for _, factors in slot for f in factors},
+        key=lambda f: f.sort_key,
+    )
+    rank = {f: r for r, f in enumerate(symbols)}
+    ranked = [
+        [[(sign, tuple(rank[f] for f in factors)) for sign, factors in slot] for slot in row]
+        for row in table
+    ]
+    collected: dict[tuple[int, ...], int] = {}
+    for coeff, ranks in _permutation_sum(ranked):
+        key = tuple(sorted(ranks))
+        collected[key] = collected.get(key, 0) + coeff
+    keys = sorted((key for key, c in collected.items() if c), key=lambda k: (len(k), k))
+    return FormalExpr(
+        tuple(FormalTerm(collected[key], tuple(symbols[r] for r in key)) for key in keys)
+    )
 
 
 def _perm_sign(sigma: Sequence[int]) -> int:

@@ -194,25 +194,25 @@ def check_ez_domain(s: Sequence[Number], star: bool = False) -> bool:
 
 
 def _truncated_exact(s: Sequence[int], M: int, star: bool) -> Fraction:
-    # prefix-sum recurrence: A_t[m] holds the sum over chains ending at m_t = m,
-    # so the whole depth-r sum costs O(M * r) instead of O(M ** r)
-    A = [Fraction(0)] * (M + 1)
+    # prefix-sum recurrence, one pass over m: acc[t] holds the sum over chains
+    # m_1 < ... < m_(t+1) whose last index is below m (at most m for star), so
+    # the whole depth-r sum costs O(M * r) instead of O(M ** r). Every term is
+    # an integer numerator over lcm(1..M)^(s_1 + ... + s_r), so the sums run
+    # on ints and one Fraction is built at the end
+    L = math.lcm(*range(1, M + 1))
+    powers = [L**e for e in s]
+    acc = [0] * len(s)
     for m in range(1, M + 1):
-        A[m] = Fraction(1, m ** s[0])
-    for sj in s[1:]:
-        nxt = [Fraction(0)] * (M + 1)
-        acc = Fraction(0)
-        for m in range(1, M + 1):
+        prev = 1  # the empty chain
+        for t, e in enumerate(s):
+            term = prev * (powers[t] // m**e)
             if star:
-                acc += A[m]
-                prev = acc
+                acc[t] += term
+                prev = acc[t]
             else:
-                prev = acc
-                acc += A[m]
-            if prev:
-                nxt[m] = prev / m ** sj
-        A = nxt
-    return sum(A, Fraction(0))
+                prev = acc[t]
+                acc[t] += term
+    return Fraction(acc[-1], L ** sum(s))
 
 
 def _pow_vector(s: Number, M: int) -> np.ndarray:

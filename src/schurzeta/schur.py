@@ -2,9 +2,12 @@
 
 The sum runs over semi-standard fillings of the shape with every entry at
 most M, weighting a filling by prod m_ij^(-s_ij). By definition, exact mode
-enumerates fillings in rational arithmetic and floating mode uses a
-row-window recurrence (below) whose cost is M ** w with w the widest
-overlap between consecutive rows.
+enumerates fillings and floating mode uses a row-window recurrence (below)
+whose cost is M ** w with w the widest overlap between consecutive rows.
+Exact enumeration sums integer numerators over lcm(1..M)^k, k the sum of
+the exponents, and builds one Fraction at the end; the last cell's values
+are summed at once, so its cost is about the number of fillings of the
+shape minus its last cell.
 
 eval_schur takes a closed form of the truncated sum where the shape has
 one, as both hold exactly at every M: the Thm 4.2 chain determinant for
@@ -14,8 +17,10 @@ Durfee size N, and the anti-hook sum for reversed hooks (k+1)^(l+1) / k^l.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -125,7 +130,12 @@ def _refuse_outside_W_lambda(vt: VariableTableau) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact path: depth-first enumeration with running products
+# exact path: depth-first enumeration on integer numerators
+#
+# A filling's weight prod m_c^(-e_c) is the integer prod w_(e_c)[m_c] over
+# L^K, with w_e[m] = L^e / m^e, L = lcm(1..M) and K the sum of the exponents.
+# The last cell in fill order has no cell below it, so its upper bound is M
+# and its values are summed at once from a suffix table of its weights.
 # ---------------------------------------------------------------------------
 
 
@@ -134,39 +144,44 @@ def _sum_by_enumeration(vt: VariableTableau, M: int) -> Fraction:
     cells = shape.cells()
     if not cells:
         return Fraction(1)
-    expo = {c: exact_exponent(vt.cell_values[c]) for c in cells}
-    if any(e is None for e in expo.values()):
+    expo = [exact_exponent(vt.cell_values[c]) for c in cells]
+    if None in expo:
         raise ValueError("exact evaluation needs non-negative integer exponents")
-    pow_cache: dict[int, list[Fraction]] = {}
-    for e in set(expo.values()):
-        pow_cache[e] = [Fraction(0)] + [Fraction(1, v**e) for v in range(1, M + 1)]
-    below = {
-        (i, j): sum(1 for r in range(i + 1, shape.n_rows + 1) if shape.contains(r, j))
-        for (i, j) in cells
-    }
-    entries: dict[tuple[int, int], int] = {}
-    total = Fraction(0)
+    L = math.lcm(*range(1, M + 1))
+    weights = {}
+    for e in set(expo):
+        Le = L**e
+        weights[e] = [0] + [Le // m**e for m in range(1, M + 1)]
+    n = len(cells)
+    # per cell: the positions of its left and upper neighbours in `vals`, the
+    # largest value that leaves room for the cells below it, and its weights;
+    # a missing neighbour points at a sentinel, 1 on the left, 0 above
+    position = {c: k for k, c in enumerate(cells)}
+    plan = [
+        (
+            position.get((i, j - 1), n),
+            position.get((i - 1, j), n + 1),
+            M - sum(1 for r in range(i + 1, shape.n_rows + 1) if shape.contains(r, j)),
+            weights[e],
+        )
+        for (i, j), e in zip(cells, expo)
+    ]
+    tail = list(accumulate(reversed(weights[expo[-1]])))[::-1] + [0]  # tail[v] = w[v] + ... + w[M]
+    vals = [0] * n + [1, 0]
+    last = n - 1
 
-    def fill(k: int, weight: Fraction):
-        nonlocal total
-        if k == len(cells):
-            total += weight
-            return
-        i, j = cells[k]
-        lo = 1
-        if shape.contains(i, j - 1):
-            lo = max(lo, entries[(i, j - 1)])
-        if shape.contains(i - 1, j):
-            lo = max(lo, entries[(i - 1, j)] + 1)
-        hi = M - below[(i, j)]
-        w = pow_cache[expo[(i, j)]]
+    def fill(k: int) -> int:
+        left, up, hi, w = plan[k]
+        lo = max(vals[left], vals[up] + 1)
+        if k == last:
+            return tail[lo]
+        total = 0
         for v in range(lo, hi + 1):
-            entries[(i, j)] = v
-            fill(k + 1, weight * w[v])
-        entries.pop((i, j), None)
+            vals[k] = v
+            total += w[v] * fill(k + 1)
+        return total
 
-    fill(0, Fraction(1))
-    return total
+    return Fraction(fill(0), L ** sum(expo))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,18 @@ def test_verify_giambelli_follows_the_mode(capsys):
         assert "/" in out["rhs"] and out["comparison"] == "exact"
 
 
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["floating", "exact-falls-back"])
+def test_verify_refuses_outside_the_region_when_floating(mode, capsys):
+    # a non-integer content makes --exact fall back to floating arithmetic,
+    # whose sides stand for series that diverge outside the region
+    argv = ["verify", "thm41", "--shape", "2,2", "--content", "0=3,1=2,-1=0.5", "--M", "12"]
+    assert cli.main([*argv, *mode]) == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["status"] == "error" and "convergence region" in out["error"]
+    assert "Traceback" not in captured.err
+
+
 def test_verify_threshold_is_the_tolerance(capsys):
     argv = ["verify", "thm41", "--shape", "3,2,1", "--content", "0=3,1=2,2=2,-1=2,-2=2",
             "--M", "300", "--tolerance", "1e-9"]
