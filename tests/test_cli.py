@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -76,6 +77,30 @@ def test_expand_term_count(capsys):
     cli.main(["expand", "hook1", "--p", "0", "--q", "1"])
     out = json.loads(capsys.readouterr().out)
     assert out["results"]["term_count"] == 2
+
+
+# sha256 of json.dumps(terms, sort_keys=True) for the expand jobs of the
+# exact_verify benchmark deck: the order of uncollected terms is output too
+EXPAND_TERMS_SHA256 = [
+    ("hook1 --p 1 --q 2", "d763f0ba902c8ca22f7a0d0cad0a84302832f4cd3c73dde90ecc8fed6555d67a"),
+    ("hook2 --p 3 --q 2", "6bd07d2f8ce88997386ef577141533c9dac5d1d15c0bc365e946b66c10a14685"),
+    ("hook1 --p 4 --q 4", "08e836f04c1c7eebf207ee234d4e6c6abed63bc9045a5cb36ba1044dc81d9e30"),
+    ("giambelli --shape 2,2", "3df28afe961041c19ca1e52db6b573670a4aba11e1c0b1acdc438f15ff8c06af"),
+    ("giambelli --shape 3,2,1 --collected --reversed",
+     "296800456dcd5b85133c7abeb10034782419a8478a40993f88aec6771e2ca1d8"),
+    ("giambelli --shape 3,3,3 --collected", "d44ce9f4b69264693ca93ed7a394008970d768766657b18e47fd071e108fccbe"),
+    ("giambelli --shape 4,4,4,4", "fc0aec69e7772f338dab128999fdc7ee909e2416f896ba3de2d626054bafd676"),
+    ("giambelli --shape 4,3,2,2 --reversed", "d9c99bdd46fdaeaf8a125d3be5633102f30fa32c6cdb508a4ec904505c973ff2"),
+    ("giambelli --shape 5,5,5,5,5 --collected",
+     "35936f073875b3570e44a14b97fc7c32514fb5320ed77d827248986179df950e"),
+]
+
+
+@pytest.mark.parametrize("args,digest", EXPAND_TERMS_SHA256, ids=[a for a, _ in EXPAND_TERMS_SHA256])
+def test_expand_terms_are_pinned(args, digest, capsys):
+    assert cli.main(["expand", *args.split()]) == 0
+    terms = json.loads(capsys.readouterr().out)["results"]["terms"]
+    assert hashlib.sha256(json.dumps(terms, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_report_round_trips_to_jobspec(capsys):

@@ -148,6 +148,27 @@ def test_structural_determinant_equality_sample():
         assert expand_giambelli(lam, "reversed") == expand_grid_determinant(grid, "hook2")
 
 
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+SMALL_AND_5x5 = [Partition(p) for n in range(1, 10) for p in _partitions(n)] + [Partition((5,) * 5)]
+
+
+@pytest.mark.parametrize("lam", SMALL_AND_5x5, ids=lambda lam: ",".join(map(str, lam.parts)))
+def test_collected_expansion_equals_normalized_terms_and_cofactors(lam):
+    grid = giambelli_det_expr(lam)
+    for variant, hook in (("standard", "hook1"), ("reversed", "hook2")):
+        collected = expand_giambelli(lam, variant)
+        assert collected == normalize(FormalExpr(tuple(expand_giambelli_terms(lam, variant))))
+        assert collected == expand_grid_determinant(grid, hook)
+
+
 def test_normalize():
     t = term(1, ("star", [0]))
     e = FormalExpr((t, term(-1, ("star", [0]))))

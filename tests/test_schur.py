@@ -257,12 +257,17 @@ COMPLEX = st.builds(complex, st.floats(min_value=1, max_value=4), st.floats(min_
 
 
 @st.composite
-def content_tableaux(draw, values, max_size=7):
+def partitions(draw, max_size=7):
     parts, left = [], draw(st.integers(min_value=1, max_value=max_size))
     while left:
         parts.append(draw(st.integers(min_value=1, max_value=min([left, *parts[-1:]]))))
         left -= parts[-1]
-    lam = Partition(tuple(parts))
+    return Partition(tuple(parts))
+
+
+@st.composite
+def content_tableaux(draw, values, max_size=7):
+    lam = draw(partitions(max_size))
     z = {c: draw(values) for c in range(1 - len(lam), lam[0])}
     return VariableTableau.from_content(lam, z)
 
@@ -303,6 +308,63 @@ def test_closed_forms_match_row_window(vt, M):
     window = eval_schur_truncated(vt, M, exact=False)
     assert type(value) is type(window)
     assert abs(value - window) <= 1e-12 * abs(window)
+
+
+# --- exact enumeration on integer numerators against the brute-force oracle ---
+
+
+@st.composite
+def per_cell_tableaux(draw, max_size=8):
+    """A straight or skew shape, empty rows included, with an independent
+    exponent in {0, 1, 2, 3} per cell."""
+    outer = draw(partitions(max_size))
+    inner = []
+    if draw(st.booleans()):
+        for part in outer:
+            inner.append(draw(st.integers(min_value=0, max_value=min([part, *inner[-1:]]))))
+    shape = SkewShape(outer, Partition(tuple(p for p in inner if p)))
+    return VariableTableau.from_cells(shape, {c: draw(st.integers(0, 3)) for c in shape.cells()})
+
+
+@given(per_cell_tableaux(), st.integers(min_value=1, max_value=6))
+# (3,2,2)/(2,2): the second row is empty
+@example(VariableTableau.from_cells(SkewShape(Partition((3, 2, 2)), Partition((2, 2))),
+                                    {(1, 3): 2, (3, 1): 1, (3, 2): 3}), 4)
+@settings(max_examples=80, deadline=None)
+def test_enumeration_equals_brute_force(vt, M):
+    assert _sum_by_enumeration(vt, M) == brute_force_schur(vt, M)
+
+
+@pytest.mark.parametrize(
+    "outer,inner,M",
+    [((1, 1), (), 1), ((2, 2), (1,), 1), ((1, 1, 1), (), 2), ((3, 3, 3), (2, 2), 2)],
+)
+def test_enumeration_is_zero_when_a_column_outgrows_M(outer, inner, M):
+    # the last cell sits under a column whose lower bound passes M
+    shape = SkewShape(Partition(outer), Partition(inner))
+    vt = VariableTableau.from_cells(shape, {c: 2 for c in shape.cells()})
+    assert _sum_by_enumeration(vt, M) == 0 == brute_force_schur(vt, M)
+
+
+@pytest.mark.parametrize("outer,inner", [((1,), ()), ((3,), ()), ((2, 1), (1,)), ((4, 2), (2,))])
+def test_enumeration_at_M_one_has_one_filling(outer, inner):
+    # no column holds two cells, so the only filling is all ones
+    shape = SkewShape(Partition(outer), Partition(inner))
+    vt = VariableTableau.from_cells(shape, {c: 3 for c in shape.cells()})
+    assert _sum_by_enumeration(vt, 1) == 1 == brute_force_schur(vt, 1)
+
+
+def test_enumeration_sums_the_last_cell_from_its_lower_bound_to_M():
+    # the last cell's values a..M come from a suffix table of its weights;
+    # reading it one place off adds or drops the value at a
+    M = 5
+    row = VariableTableau.from_cells(Partition((2,)), {(1, 1): 1, (1, 2): 2})
+    col = VariableTableau.from_cells(Partition((1, 1)), {(1, 1): 1, (2, 1): 2})
+    cell = VariableTableau.from_cells(Partition((1,)), {(1, 1): 2})
+    pairs = [(a, b) for a in range(1, M + 1) for b in range(1, M + 1)]
+    assert _sum_by_enumeration(row, M) == sum(Fraction(1, a * b * b) for a, b in pairs if a <= b)
+    assert _sum_by_enumeration(col, M) == sum(Fraction(1, a * b * b) for a, b in pairs if a < b)
+    assert _sum_by_enumeration(cell, M) == sum(Fraction(1, b * b) for b in range(1, M + 1))
 
 
 def test_eval_schur_routes_by_shape():
