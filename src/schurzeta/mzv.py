@@ -215,23 +215,30 @@ def _truncated_exact(s: Sequence[int], M: int, star: bool) -> Fraction:
     return Fraction(acc[-1], L ** sum(s))
 
 
-def _pow_vector(s: Number, M: int) -> np.ndarray:
-    """m^(-s) for m = 1..M: real for real s, else on the principal branch."""
-    m = np.arange(1.0, M + 1.0)
+def _pow_vector(s: Number, M: int, shift: float = 0.0) -> np.ndarray:
+    """(m + shift)^(-s) for m = 1..M: real for real s, else on the principal
+    branch. The bases must be positive."""
+    m = np.arange(1.0, M + 1.0) + shift
     if isinstance(s, complex) and s.imag != 0:
         return np.exp(-s * np.log(m))
     return m ** (-float(complex(s).real))
 
 
-def _truncated_float(s: Sequence[Number], M: int, star: bool) -> float | complex:
+def _truncated_float(s: Sequence[Number], M: int, star: bool) -> tuple[float | complex, Number]:
+    """The sum truncated at M, and that of s[:-1] (1 for depth 1), which the
+    tail bound needs."""
     A = _pow_vector(s[0], M)
+    rest = 1.0
     for sj in s[1:]:
+        # a pairwise sum: cumsum's last entry adds sequentially, which at
+        # M = 1e6 drifts ~1e-11 from it
+        rest = A.sum()
         cs = np.cumsum(A)
         if not star:
             cs = np.concatenate((np.zeros(1, dtype=cs.dtype), cs[:-1]))
         A = _pow_vector(sj, M) * cs
     total = A.sum()
-    return complex(total) if np.iscomplexobj(A) else float(total)
+    return (complex(total) if np.iscomplexobj(A) else float(total)), rest
 
 
 def eval_ez_truncated(
@@ -255,22 +262,18 @@ def eval_ez_truncated(
         if None in ints:
             raise ValueError("exact sums need non-negative integer exponents")
         return _truncated_exact(ints, M, star)
-    return _truncated_float(s, M, star)
+    return _truncated_float(s, M, star)[0]
 
 
-def _tail_bound(s: Sequence[Number], M: int, star: bool) -> float:
-    # integral comparison on the outermost index, times the truncated value of
-    # the remaining sum; a log inflation covers inner exponents sitting at
-    # real part exactly 1
+def _tail_bound(s: Sequence[Number], M: int, rest: Number) -> float:
+    # integral comparison on the outermost index, times the truncated value
+    # `rest` of the remaining sum; a log inflation covers inner exponents
+    # sitting at real part exactly 1
     sr = complex(s[-1]).real
     tail = M ** (1.0 - sr) / (sr - 1.0)
-    if len(s) > 1:
-        rest = abs(_truncated_float([complex(v) for v in s[:-1]], M, star))
-        if any(complex(v).real == 1.0 for v in s[:-1]):
-            tail *= (1.0 + math.log(M)) ** (len(s) - 1)
-    else:
-        rest = 1.0
-    return tail * rest
+    if any(complex(v).real == 1.0 for v in s[:-1]):
+        tail *= (1.0 + math.log(M)) ** (len(s) - 1)
+    return tail * float(abs(rest))
 
 
 def eval_ez(s: Sequence[Number], cfg: TruncationConfig, star: bool = False) -> EvalResult:
@@ -290,5 +293,5 @@ def eval_ez(s: Sequence[Number], cfg: TruncationConfig, star: bool = False) -> E
     if exact:
         value = _truncated_exact([exact_exponent(v) for v in s], cfg.M, star)
         return EvalResult(value, None, cfg.M)
-    value = _truncated_float(s, cfg.M, star)
-    return EvalResult(value, _tail_bound(s, cfg.M, star), cfg.M, note=note)
+    value, rest = _truncated_float(s, cfg.M, star)
+    return EvalResult(value, _tail_bound(s, cfg.M, rest), cfg.M, note=note)

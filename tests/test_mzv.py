@@ -105,6 +105,30 @@ def test_log_factor_applies_at_re_one():
     assert plain.tail_bound == pytest.approx(M ** (-1) * abs(eval_ez_truncated([2.0], M)))
 
 
+def second_pass_tail_bound(s, M, star):
+    """The tail bound with the remaining sum s[:-1] summed again in complex:
+    the reference for the bound that reuses the first pass."""
+    sr = complex(s[-1]).real
+    tail = M ** (1.0 - sr) / (sr - 1.0)
+    if any(complex(v).real == 1.0 for v in s[:-1]):
+        tail *= (1.0 + math.log(M)) ** (len(s) - 1)
+    return tail * abs(eval_ez_truncated([complex(v) for v in s[:-1]], M, star))
+
+
+@pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
+@pytest.mark.parametrize(
+    "s",
+    [(2.5, 3.0), (1.0, 2.0), (2 + 1j, 3.0), (1.0, 2.0, 3.5), (1.5, 2 - 0.5j, 2.5), (3, 2, 2)],
+    ids=["real-2", "re-one-2", "complex-2", "re-one-3", "complex-3", "int-3"],
+)
+def test_tail_bound_reuses_the_remaining_sum(s, star):
+    M = 20_000
+    res = eval_ez(s, TruncationConfig(M=M), star=star)
+    assert res.value == eval_ez_truncated(s, M, star, exact=False)
+    assert type(res.tail_bound) is float
+    assert res.tail_bound == pytest.approx(second_pass_tail_bound(s, M, star), rel=1e-12)
+
+
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=10, max_value=200))
 @settings(max_examples=30)
 def test_monotone_convergence(s, M):

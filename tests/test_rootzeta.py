@@ -1,13 +1,19 @@
+import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from schurzeta.mzv import ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import Partition
 from schurzeta.rootzeta import (
     RootZetaArgs,
+    _box_sum,
+    _grid_sum,
     canonical_pairs,
     check_root_domain,
     eval_root_zeta,
@@ -205,6 +211,112 @@ def test_exact_mode_falls_back_on_float_exponents(d, x):
     assert type(res.value) is float and res.tail_bound is not None
     assert "fell back to floating" in res.note
     assert res.value == eval_root_zeta(args, floating(6), d, x).value
+
+
+# --- the floating box sum against the depth-first loop ---
+
+
+def complex_brute_force_root(args, M, d=0, x=None):
+    """The box sum point by point in complex double precision, the oracle
+    for real and complex exponents."""
+    total = 0j
+    ranges = [range(0 if k <= d else 1, M + 1) for k in range(1, args.r + 1)]
+    for ms in product(*ranges):
+        term = 1 + 0j
+        for (i, j), s in args.s.items():
+            base = sum(ms[i - 1 : j - 1]) + float(x or 0)
+            if s != 0 and base != 0:
+                term *= cmath.exp(-complex(s) * math.log(base))
+        total += term
+    return total
+
+
+# the largest M drawn per rank: the loop reference visits (M+1)^r points
+MAX_M = {1: 40, 2: 12, 3: 6, 4: 4}
+
+
+@st.composite
+def root_cases(draw, exponents):
+    """(args, M, d, x) over ranks 1-4, the four variants (d = 0 or not, x
+    None or not), first-row and full arguments."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    M = draw(st.integers(min_value=1, max_value=MAX_M[r]))
+    d = draw(st.integers(min_value=0, max_value=r))
+    x = draw(st.sampled_from([None, 1, Fraction(1, 2)]))
+    first_row = draw(st.booleans())
+    n = r if first_row else len(canonical_pairs(r))
+    values = draw(st.lists(exponents, min_size=n, max_size=n))
+    args = RootZetaArgs.first_row(values) if first_row else RootZetaArgs.full(r, values)
+    assume(check_root_domain(args))
+    return args, M, d, x
+
+
+@given(root_cases(st.integers(min_value=0, max_value=3)))
+@settings(max_examples=80, deadline=None)
+def test_grid_sum_matches_the_loop_on_integer_exponents(case):
+    args, M, d, x = case
+    res = eval_root_zeta(args, floating(M), d, x)
+    want = float(_box_sum(args, M, d, x))
+    assert type(res.value) is float
+    assert abs(res.value - want) <= 1e-12 * want
+
+
+real_or_complex = st.one_of(
+    st.floats(min_value=0.0, max_value=3.0),
+    st.builds(complex, st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=-2.0, max_value=2.0)),
+)
+
+
+@given(root_cases(real_or_complex))
+@settings(max_examples=80, deadline=None)
+def test_grid_sum_matches_brute_force_on_real_and_complex_exponents(case):
+    args, M, d, x = case
+    res = eval_root_zeta(args, floating(M), d, x)
+    want = complex_brute_force_root(args, M, d, x)
+    assert type(res.value) in (float, complex)
+    assert abs(res.value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "args,M,d,x",
+    [
+        (RootZetaArgs.full(3, [2, 3, 2, 1, 2, 3]), 1, 0, None),
+        (RootZetaArgs.full(3, [2, 3, 2, 1, 2, 3]), 1, 3, Fraction(1, 2)),
+        # m_1 = m_2 = 0 makes the bases of (1,2), (2,3) and (1,3) zero
+        (RootZetaArgs.full(3, [2, 2, 3, 2, 2, 2]), 5, 2, None),
+        # no factor touches m_2, which must still count M (or M+1) times
+        (RootZetaArgs(2, {(1, 2): 2}), 7, 0, None),
+        (RootZetaArgs(2, {(1, 2): 2}), 7, 2, None),
+        (RootZetaArgs(3, {(1, 2): 2}), 4, 0, 1),
+    ],
+    ids=["M-one", "M-one-bullet-H", "zero-block", "last-index-free", "last-index-free-bullet", "two-free-H"],
+)
+def test_grid_sum_pinned_cases(args, M, d, x):
+    value = _grid_sum(args, M, d, x)
+    want = float(_box_sum(args, M, d, x))
+    assert type(value) is float
+    assert abs(value - want) <= 1e-12 * want
+
+
+def test_grid_sum_of_a_free_last_index():
+    value = _grid_sum(RootZetaArgs(2, {(1, 2): 2}), 7, 0, None)
+    assert value == pytest.approx(7 * float(eval_ez_truncated([2], 7)), rel=1e-14)
+
+
+def test_grid_sum_memory_is_bounded():
+    # at 2M the (m_1, m_2) grid has 36 M elements; summed in blocks of rows
+    # the evaluation stays far below the 290 MB one grid-sized array takes
+    M = 3000
+    tracemalloc.start()
+    try:
+        res = eval_root_zeta(RootZetaArgs.full(2, [2, 2, 2]), floating(M))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    m2 = np.arange(1.0, M + 1.0)
+    want = sum(float((m1**-2.0 * m2**-2.0 * (m1 + m2) ** -2.0).sum()) for m1 in range(1, M + 1))
+    assert abs(res.value - want) <= 1e-12 * want
 
 
 # --- coupled-truncation chains and the hook rewrite ---
