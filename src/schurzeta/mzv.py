@@ -230,8 +230,8 @@ def _truncated_float(s: Sequence[Number], M: int, star: bool) -> tuple[float | c
     A = _pow_vector(s[0], M)
     rest = 1.0
     for sj in s[1:]:
-        # a pairwise sum: cumsum's last entry adds sequentially, which at
-        # M = 1e6 drifts ~1e-11 from it
+        # numpy's pairwise sum, not cumsum's last entry: that one adds
+        # sequentially and drifts ~1e-11 relative at M = 1e6
         rest = A.sum()
         cs = np.cumsum(A)
         if not star:
