@@ -10,6 +10,8 @@ floating mode).
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import os
 import sys
@@ -71,16 +73,17 @@ def _parse_number(tok: str):
     if "/" in tok:
         try:
             return Fraction(tok)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
-    try:
-        return complex(tok)
-    except ValueError:
-        raise UsageError(f"cannot parse number {tok!r}") from None
+    for kind in (float, complex):
+        try:
+            value = kind(tok)
+        except ValueError:
+            continue
+        if not cmath.isfinite(value):
+            raise UsageError(f"number {tok!r} is not finite")
+        return value
+    raise UsageError(f"cannot parse number {tok!r}")
 
 
 def _parse_number_list(text: str) -> list:
@@ -147,8 +150,35 @@ _COMMAND_PARAMS = {
     "verify": {"identity": _TEXT, "p": _WHOLE, "q": _WHOLE, "shape": _WHOLE, "content": _MAPPING,
                "bottom": _ARRAY, "column": _ARRAY},
 }
+_CFG_FIELDS = {"M": _WHOLE, "mode": _TEXT, "tolerance": (int, float, str)}
 _JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "an array", dict: "an object"}
+
+
+def _finite(value) -> bool:
+    """No inf or nan anywhere in a parameter, so that its report is strict JSON."""
+    if isinstance(value, (float, complex)):
+        return cmath.isfinite(value)
+    if isinstance(value, (list, tuple, dict)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return True
+
+
+def _check_fields(owner: str, values: dict, allowed: dict):
+    """Refuse unknown fields, values of other JSON types (a boolean is not an
+    integer here), and non-finite numbers; null counts as absent."""
+    unknown = set(values) - set(allowed)
+    if unknown:
+        raise UsageError(f"unknown field(s) for {owner}: {', '.join(sorted(unknown))}")
+    for name, value in values.items():
+        if value is None:
+            continue
+        types = allowed[name]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            expected = " or ".join(_JSON_NAMES[t] for t in types)
+            raise UsageError(f"{owner} field {name!r} must be {expected}, got {value!r}")
+        if not _finite(value):
+            raise UsageError(f"{owner} field {name!r} must be finite, got {value!r}")
 
 
 @dataclass
@@ -163,16 +193,7 @@ class JobSpec:
     def __post_init__(self):
         if not isinstance(self.command, str) or self.command not in _COMMAND_PARAMS:
             raise UsageError(f"unknown command {self.command!r}")
-        allowed = _COMMAND_PARAMS[self.command]
-        unknown = set(self.params) - set(allowed)
-        if unknown:
-            raise UsageError(
-                f"unknown field(s) for {self.command}: {', '.join(sorted(unknown))}"
-            )
-        for name, value in self.params.items():
-            if value is not None and not isinstance(value, allowed[name]):
-                expected = " or ".join(_JSON_NAMES[t] for t in allowed[name])
-                raise UsageError(f"{self.command} field {name!r} must be {expected}, got {value!r}")
+        _check_fields(self.command, self.params, _COMMAND_PARAMS[self.command])
         if self.output not in ("json", "plain", "latex"):
             raise UsageError(f"output must be json, plain or latex, got {self.output!r}")
 
@@ -207,9 +228,8 @@ class JobSpec:
         cfg_data, params = data.get("cfg", {}), data.get("params", {})
         if not isinstance(cfg_data, dict) or not isinstance(params, dict):
             raise UsageError("job fields 'cfg' and 'params' must be JSON objects")
-        extra = set(cfg_data) - {"M", "mode", "tolerance"}
-        if extra:
-            raise UsageError(f"unknown cfg field(s): {', '.join(sorted(extra))}")
+        _check_fields("cfg", cfg_data, _CFG_FIELDS)
+        cfg_data = {k: v for k, v in cfg_data.items() if v is not None}
         try:
             cfg = TruncationConfig(
                 M=int(cfg_data.get("M", DEFAULTS["M"])),
@@ -400,11 +420,10 @@ def run(spec: JobSpec) -> tuple[int, dict]:
         outcome = _RUNNERS[spec.command](spec)
     except (UsageError, ConvergenceError, ValueError, KeyError, MemoryError) as err:
         report["status"] = "error"
-        report["error"] = (
-            f"out of memory at M={spec.cfg.M}; try a lower M"
-            if isinstance(err, MemoryError)
-            else str(err)
-        )
+        if isinstance(err, MemoryError):
+            report["error"] = f"out of memory at M={spec.cfg.M}; try a lower M"
+        else:  # str() of a KeyError is the repr of its message
+            report["error"] = str(err.args[0] if isinstance(err, KeyError) and err.args else err)
         report["wall_time_s"] = time.perf_counter() - started
         return 1, report
     report.update(outcome)
@@ -433,6 +452,7 @@ def _add_common(parser: _Parser):
 
 
 def build_parser() -> _Parser:
+    """A new parser on each call, so a caller that changes it cannot change main's."""
     parser = _Parser(prog="schurzeta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -480,6 +500,14 @@ def build_parser() -> _Parser:
     p.add_argument("file", help="path to a JSON job file, or - for stdin")
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """main's parser, built once per process. Reusing it is safe because parsing
+    leaves no state on it: every default is None or store_true, and each
+    parse_args returns a new Namespace."""
+    return build_parser()
 
 
 def _spec_from_namespace(ns) -> JobSpec:
@@ -556,9 +584,8 @@ def _render(report: dict, output: str) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         if ns.command == "job":
             try:
                 if ns.file == "-":

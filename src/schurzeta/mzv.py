@@ -43,8 +43,8 @@ class TruncationConfig:
             raise ValueError("truncation M must be >= 1")
         if self.mode not in ("exact", "floating"):
             raise ValueError(f"mode must be 'exact' or 'floating', got {self.mode!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
     @property
     def is_exact(self) -> bool:

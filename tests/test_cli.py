@@ -1,11 +1,14 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schurzeta import cli
 from schurzeta.cli import JobSpec, UsageError, run
@@ -341,6 +344,21 @@ BAD_INPUTS = [
     (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": {"args": 5}}),
     (["job", "{tmp}/job.json"], {"command": "eval-rootzeta", "params": {"rank": [2]}}),
     (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": {"args": [2], "star": "no"}}),
+    # non-finite numbers, which a strict JSON report could not echo
+    (["eval-mzv", "--args", "inf", "--M", "5"], None),
+    (["eval-schur", "--shape", "2,2", "--content", "0=nan,1=2,-1=2"], None),
+    (["eval-mzv", "--args", "2", "--tolerance", "inf"], None),
+    (["eval-mzv", "--args", "2+infj", "--M", "5"], None),
+    (["eval-mzv", "--args", "1/0", "--M", "5"], None),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": {"args": [float("inf")]}}),
+    (["job", "{tmp}/job.json"],
+     {"command": "eval-schur", "params": {"shape": "2,2", "content": {"0": [3, float("nan")]}}}),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "cfg": {"tolerance": float("nan")}}),
+    # mistyped cfg fields
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"M": True}}),
+    (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"M": 2.9}}),
+    (["job", "{tmp}/job.json"],
+     {"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"tolerance": True}}),
 ]
 
 
@@ -358,6 +376,51 @@ def test_wrong_param_type_names_the_field(tmp_path, capsys):
     (tmp_path / "job.json").write_text(json.dumps({"command": "eval-mzv", "params": {"args": 5}}))
     assert cli.main(["job", str(tmp_path / "job.json")]) == 1
     assert "'args' must be an array, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "job,message",
+    [
+        ({"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"M": True}},
+         "cfg field 'M' must be an integer or a string, got True"),
+        ({"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"M": 2.9}},
+         "cfg field 'M' must be an integer or a string, got 2.9"),
+        ({"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"tolerance": True}},
+         "cfg field 'tolerance' must be"),
+        ({"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"tolerance": float("inf")}},
+         "cfg field 'tolerance' must be finite, got inf"),
+        ({"command": "eval-mzv", "params": {"args": [2, float("nan")]}},
+         "eval-mzv field 'args' must be finite, got [2, nan]"),
+    ],
+)
+def test_bad_job_field_names_the_field_and_value(job, message, tmp_path, capsys):
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    assert cli.main(["job", str(tmp_path / "job.json")]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,token", [
+    (["eval-mzv", "--args", "2,-inf", "--M", "5"], "'-inf'"),
+    (["eval-schur", "--shape", "2,2", "--content", "0=nan,1=2,-1=2"], "'nan'"),
+    (["eval-mzv", "--args", "2", "--tolerance", "inf"], "got inf"),
+])
+def test_non_finite_flag_names_the_value(argv, token, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and token in err
+
+
+def test_integer_text_in_cfg_is_accepted(tmp_path, capsys):
+    job = {"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"M": "7", "tolerance": "1e-9"}}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    assert cli.main(["job", str(tmp_path / "job.json")]) == 0
+    cfg = json.loads(capsys.readouterr().out)["inputs"]["cfg"]
+    assert cfg["M"] == 7 and cfg["tolerance"] == 1e-9
+
+
+def test_missing_content_value_reports_the_message_itself(capsys):
+    assert cli.main(["eval-schur", "--shape", "2,2", "--content", "0=3,1=2"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "no value assigned to z_-1"
 
 
 def test_bad_content_value_exits_one(tmp_path, capsys):
@@ -396,3 +459,184 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+# --- one parser per process -------------------------------------------------
+
+def test_parser_is_built_once_across_jobs(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv in (["eval-mzv", "--args", "2", "--M", "10"],
+                 ["expand", "hook1", "--p", "1", "--q", "1"],
+                 ["eval-mzv", "--args", "two"],
+                 ["eval-rootzeta", "--rank", "1", "--svars", "2", "--M", "5"]):
+        cli.main(argv)
+    assert built.count("schurzeta") == 1
+    assert len(built) == len(set(built))  # and each subcommand's parser once
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
+# each flagged job runs between two runs of its plain twin
+FLAGGED_AND_PLAIN = [
+    (["eval-mzv", "--args", "2,3", "--star", "--M", "20", "--exact"],
+     ["eval-mzv", "--args", "2,3", "--M", "20"]),
+    (["eval-schur", "--shape", "2,2", "--inner", "1", "--content", "0=3,1=2,-1=2", "--M", "12"],
+     ["eval-schur", "--shape", "2,2", "--content", "0=3,1=2,-1=2", "--M", "12"]),
+    (["expand", "giambelli", "--shape", "3,2,1", "--collected", "--reversed"],
+     ["expand", "giambelli", "--shape", "3,2,1"]),
+    (["eval-mzv", "--args", "2", "--M", "100", "--format", "plain"],
+     ["eval-mzv", "--args", "2", "--M", "100"]),
+    (["verify", "thm41", "--shape", "2,2", "--content", "0=3,1=2,-1=2", "--M", "8", "--exact"],
+     ["verify", "thm41", "--shape", "2,2", "--content", "0=3,1=2,-1=2", "--M", "8"]),
+]
+
+
+def test_no_state_leaks_from_one_job_to_the_next(capsys):
+    def report(argv):
+        code = cli.main(argv)
+        out = json.loads(capsys.readouterr().out)
+        out.pop("wall_time_s")
+        return code, out
+
+    cli._parser.cache_clear()
+    first = [report(plain) for _, plain in FLAGGED_AND_PLAIN]
+    for flagged, _ in FLAGGED_AND_PLAIN:
+        assert cli.main(flagged) == 0
+        capsys.readouterr()
+    assert [report(plain) for _, plain in FLAGGED_AND_PLAIN] == first
+
+
+def test_help_twice(capsys):
+    cli._parser.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: schurzeta")
+
+
+# --- JobSpec fuzz, every example through the one cached parser ----------------
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 8), st.floats(-2, 2),
+                  st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.just({}))
+
+
+def _mostly(valid, other=_JUNK):
+    """valid four times in five, else other; shrinks towards valid"""
+    return st.integers(0, 4).flatmap(lambda k: other if k == 4 else valid)
+
+
+_NUMBER = _mostly(
+    st.one_of(st.integers(0, 5), st.floats(1.5, 6), st.sampled_from(["2", "5/2", "3+1j"]),
+              st.lists(st.floats(1.5, 6), min_size=2, max_size=2)),
+    st.one_of(st.sampled_from([-2, 1, 0.5, float("inf"), float("nan"), "1/0", "-inf", "x"]), _JUNK),
+)
+# at most 6 cells and M <= 8 keep every job small
+_SHAPE = _mostly(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    .filter(lambda parts: sum(parts) <= 6)
+    .map(lambda parts: ",".join(map(str, sorted(parts, reverse=True)))),
+    st.one_of(st.sampled_from(["1,2", "0", "", "a", 3]), st.none()),
+)
+_SMALL = _mostly(st.integers(0, 2), st.one_of(st.sampled_from(["1", -1]), st.none(), st.booleans()))
+_CONTENT = _mostly(
+    st.fixed_dictionaries({str(k): _NUMBER for k in range(-2, 3)}),
+    st.sampled_from(["0=2,1=2,-1=2", "0=3,1=2", "0=", "x=1", {"a": 2}, None]),
+)
+_CELLS = st.dictionaries(st.sampled_from(["1,1", "1,2", "2,1", "2,2", "1,3", "1", "a,b"]), _NUMBER)
+
+
+def _rootzeta_params(rank):
+    count = rank * (rank + 1) // 2
+    return st.fixed_dictionaries(
+        {"rank": _mostly(st.just(rank)), "svars": st.lists(_NUMBER, min_size=count, max_size=count)},
+        optional={"variant": _mostly(st.sampled_from(["plain", "bullet", "H", "bulletH"])),
+                  "first_row": st.lists(_NUMBER, max_size=3), "d": _SMALL, "x": _NUMBER},
+    )
+
+
+_VERIFY_NEEDS = {"hook1": ("p", "q", "content"), "hook2": ("p", "q", "content"),
+                 "antihook": ("bottom", "column")}
+
+
+def _named(key, name, needs, **fields):
+    """params for expand's target or verify's identity `name`: the fields it
+    needs, and any of the others"""
+    return st.fixed_dictionaries(
+        {key: _mostly(st.just(name)), **{f: fields[f] for f in needs}},
+        optional={f: s for f, s in fields.items() if f not in needs},
+    )
+
+
+_PARAMS = {
+    "eval-mzv": st.fixed_dictionaries({"args": _mostly(st.lists(_NUMBER, min_size=1, max_size=4))},
+                                      optional={"star": _mostly(st.booleans())}),
+    "eval-schur": st.fixed_dictionaries({"shape": _SHAPE, "content": _CONTENT},
+                                        optional={"inner": _SHAPE, "cells": _mostly(_CELLS)}),
+    "eval-rootzeta": st.integers(1, 3).flatmap(_rootzeta_params),
+    "expand": st.sampled_from(["hook1", "hook2", "giambelli"]).flatmap(lambda target: _named(
+        "target", target, ("shape",) if target == "giambelli" else ("p", "q"),
+        p=_SMALL, q=_SMALL, shape=_SHAPE,
+        variant=st.sampled_from(["standard", "reversed", "other"]), collected=_mostly(st.booleans()),
+    )),
+    "verify": st.sampled_from(cli.VERIFY_IDENTITIES).flatmap(lambda identity: _named(
+        "identity", identity, _VERIFY_NEEDS.get(identity, ("shape", "content")),
+        p=_SMALL, q=_SMALL, shape=_SHAPE, content=_CONTENT,
+        bottom=_mostly(st.lists(_NUMBER, min_size=1, max_size=3)),
+        column=_mostly(st.lists(_NUMBER, min_size=1, max_size=3)),
+    )),
+}
+# M is always given: the default, 1000, is far beyond a fuzz example's budget
+_CFG = st.fixed_dictionaries({
+    "M": _mostly(st.integers(1, 8), st.sampled_from([0, "7", "x", 2.9, True, float("inf")])),
+}, optional={
+    "mode": _mostly(st.sampled_from(["exact", "floating"])),
+    "tolerance": _mostly(st.floats(1e-12, 1e-3),
+                         st.sampled_from([0, -1, "1e-9", True, float("nan"), float("inf"), None])),
+})
+_JOB = _mostly(
+    st.sampled_from(sorted(_PARAMS)).flatmap(lambda command: st.fixed_dictionaries(
+        {"command": st.just(command), "params": _PARAMS[command], "cfg": _CFG},
+        optional={"output": _mostly(st.just("json"), st.sampled_from(["yaml", 5]))})),
+    st.fixed_dictionaries({"command": _JUNK}, optional={"params": _JUNK, "cfg": _JUNK, "extra": _JUNK}),
+)
+
+
+@pytest.fixture(scope="module")
+def job_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "job.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(job=_JOB)
+def test_fuzzed_job_files_exit_cleanly(job, job_path):
+    job_path.write_text(json.dumps(job))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["job", str(job_path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if not out:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["status"] == {0: "ok", 1: "error", 2: "verification-failed"}[code]
