@@ -157,11 +157,11 @@ _JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 
 def _finite(value) -> bool:
     """No inf or nan anywhere in a parameter, so that its report is strict JSON."""
-    if isinstance(value, (float, complex)):
-        return cmath.isfinite(value)
-    if isinstance(value, (list, tuple, dict)):
-        return all(map(_finite, value.values() if isinstance(value, dict) else value))
-    return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, (float, complex)) or cmath.isfinite(value)
 
 
 def _check_fields(owner: str, values: dict, allowed: dict):
@@ -505,8 +505,8 @@ def build_parser() -> _Parser:
 @functools.cache
 def _parser() -> _Parser:
     """main's parser, built once per process. Reusing it is safe because parsing
-    leaves no state on it: every default is None or store_true, and each
-    parse_args returns a new Namespace."""
+    leaves no state on it: every default is immutable, no action appends, and
+    each parse_args returns a new Namespace."""
     return build_parser()
 
 
