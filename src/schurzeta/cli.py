@@ -98,7 +98,7 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _parse_value(v, field: str):
-    """One exponent of a JSON mapping: a number, its text, or [re, im]."""
+    """One exponent of a JSON mapping or array: a number, its text, or [re, im]."""
     if isinstance(v, str):
         return _parse_number(v)
     if isinstance(v, Number) and not isinstance(v, bool):
@@ -265,7 +265,7 @@ def _require(params: dict, key: str, command: str):
 
 
 def _run_eval_mzv(spec: JobSpec) -> dict:
-    args = [_parse_number(str(a)) for a in _require(spec.params, "args", "eval-mzv")]
+    args = [_parse_value(a, "args") for a in _require(spec.params, "args", "eval-mzv")]
     star = bool(spec.params.get("star", False))
     res = eval_ez(args, spec.cfg, star=star)
     return {"results": _result_payload(res)}
@@ -295,10 +295,10 @@ def _run_eval_rootzeta(spec: JobSpec) -> dict:
     params = spec.params
     variant = params.get("variant", "plain")
     if params.get("first_row") is not None:
-        args = RootZetaArgs.first_row([_parse_number(str(v)) for v in params["first_row"]])
+        args = RootZetaArgs.first_row([_parse_value(v, "first_row") for v in params["first_row"]])
     else:
         rank = int(_require(params, "rank", "eval-rootzeta"))
-        args = RootZetaArgs.full(rank, [_parse_number(str(v)) for v in _require(params, "svars", "eval-rootzeta")])
+        args = RootZetaArgs.full(rank, [_parse_value(v, "svars") for v in _require(params, "svars", "eval-rootzeta")])
     if variant not in ("plain", "bullet", "H", "bulletH"):
         raise UsageError(f"variant must be plain, bullet, H or bulletH, got {variant!r}")
     d = int(_require(params, "d", "eval-rootzeta")) if variant.startswith("bullet") else 0
@@ -357,8 +357,8 @@ def _run_verify(spec: JobSpec) -> dict:
         vt = VariableTableau.from_content(Partition.hook(p, q), content)
         expr = expand_hook(p, q, identity)
     elif identity == "antihook":
-        bottom = [_parse_number(str(v)) for v in _require(params, "bottom", "verify")]
-        column = [_parse_number(str(v)) for v in _require(params, "column", "verify")]
+        bottom = [_parse_value(v, "bottom") for v in _require(params, "bottom", "verify")]
+        column = [_parse_value(v, "column") for v in _require(params, "column", "verify")]
         vt = antihook_tableau(bottom, column)
     else:
         lam = _parse_partition(_require(params, "shape", "verify"))

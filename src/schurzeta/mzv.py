@@ -215,28 +215,55 @@ def _truncated_exact(s: Sequence[int], M: int, star: bool) -> Fraction:
     return Fraction(acc[-1], L ** sum(s))
 
 
-def _pow_vector(s: Number, M: int, shift: float = 0.0) -> np.ndarray:
-    """(m + shift)^(-s) for m = 1..M: real for real s, else on the principal
-    branch. The bases must be positive."""
-    m = np.arange(1.0, M + 1.0) + shift
+def _powers(s: Number, bases: np.ndarray, log_bases: np.ndarray | None = None) -> np.ndarray:
+    """bases^(-s): real for real s, else on the principal branch, from
+    log_bases when the caller has it. The bases must be positive."""
     if isinstance(s, complex) and s.imag != 0:
-        return np.exp(-s * np.log(m))
-    return m ** (-float(complex(s).real))
+        return np.exp(-s * (np.log(bases) if log_bases is None else log_bases))
+    return bases ** (-float(complex(s).real))
+
+
+def _pow_vector(s: Number, M: int, shift: float = 0.0) -> np.ndarray:
+    """(m + shift)^(-s) for m = 1..M, by the rule of _powers."""
+    return _powers(s, np.arange(1.0, M + 1.0) + shift)
+
+
+def _ez_terms(s: Sequence[Number], M: int, star: bool) -> tuple[np.ndarray, Number]:
+    """The last stage of the prefix-sum recurrence, whose entry m - 1 is the
+    sum over the chains of s that end at m <= M, and the sum of the stage
+    before it (1 for depth 1), the truncated value of s[:-1].
+
+    The bases and, for a complex exponent, their logs are built once; each
+    stage's cumulative sum is taken in place and multiplied into the next
+    stage's powers, shifted by one for the strict chain. A stage turns
+    complex only where its exponent or an earlier one is complex.
+    """
+    m = np.arange(1.0, M + 1.0)
+    log_m = np.log(m) if any(isinstance(v, complex) and v.imag != 0 for v in s) else None
+    A = _powers(s[0], m, log_m)
+    rest = 1.0
+    for t, sj in enumerate(s[1:], 2):
+        if t == len(s):
+            # numpy's pairwise sum, not cumsum's last entry: that one adds
+            # sequentially and drifts ~1e-11 relative at M = 1e6
+            rest = A.sum()
+        np.cumsum(A, out=A)
+        W = _powers(sj, m, log_m)
+        if np.iscomplexobj(A) and not np.iscomplexobj(W):
+            W = W.astype(complex)
+        if star:
+            W *= A
+        else:
+            W[1:] *= A[:-1]
+            W[0] = 0
+        A = W
+    return A, rest
 
 
 def _truncated_float(s: Sequence[Number], M: int, star: bool) -> tuple[float | complex, Number]:
     """The sum truncated at M, and that of s[:-1] (1 for depth 1), which the
     tail bound needs."""
-    A = _pow_vector(s[0], M)
-    rest = 1.0
-    for sj in s[1:]:
-        # numpy's pairwise sum, not cumsum's last entry: that one adds
-        # sequentially and drifts ~1e-11 relative at M = 1e6
-        rest = A.sum()
-        cs = np.cumsum(A)
-        if not star:
-            cs = np.concatenate((np.zeros(1, dtype=cs.dtype), cs[:-1]))
-        A = _pow_vector(sj, M) * cs
+    A, rest = _ez_terms(s, M, star)
     total = A.sum()
     return (complex(total) if np.iscomplexobj(A) else float(total)), rest
 

@@ -3,7 +3,8 @@
 The sum runs over semi-standard fillings of the shape with every entry at
 most M, weighting a filling by prod m_ij^(-s_ij). By definition, exact mode
 enumerates fillings and floating mode uses a row-window recurrence (below)
-whose cost is M ** w with w the widest overlap between consecutive rows.
+whose cost is M ** w, w at most one more than the sum of a row's overlaps
+with the rows above and below; a reversed hook costs O(M) per cell.
 Exact enumeration sums integer numerators over lcm(1..M)^k, k the sum of
 the exponents, and builds one Fraction at the end; the last cell's values
 are summed at once, so its cost is about the number of fillings of the
@@ -33,6 +34,7 @@ from .mzv import (
     TruncationConfig,
     _arithmetic,
     _doubling_result,
+    _ez_terms,
     _pow_vector,
     _product,
     eval_ez,
@@ -187,12 +189,18 @@ def _sum_by_enumeration(vt: VariableTableau, M: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # floating path: row-window recurrence
 #
-# Rows are processed top to bottom. The state is a joint array over the
-# entries of the previous row that still constrain something below; placing a
-# cell turns the "sum over values below a bound" steps into cumulative sums,
-# so each row costs a handful of cumsum/gather passes over the state. Cells
-# at the right end of a row with no neighbour above or below are folded into
-# a one-dimensional suffix chain before the row is processed.
+# Rows are processed top to bottom. The state is a joint array with one axis
+# per placed cell that a later cell still compares with: the cells of the row
+# above not yet reached, and the cells of the current row with a cell below.
+# Placing a cell turns the "sum over values below a bound" steps into
+# cumulative sums, so each row costs a handful of cumsum/gather passes over
+# the state. Cells with no neighbour above or below open no axis: at the
+# right end of a row they fold into a weak suffix chain over the last placed
+# cell, at the left end into a weak prefix chain (the Euler-Zagier star
+# recurrence) in the weight of the first placed cell, and a row of such cells
+# into one scalar. So the state holds M ** w entries, w at most one more than
+# the sum of the row's overlaps with its neighbours, and a reversed hook,
+# whose bottom row's free cells fold into one prefix chain, stays at M.
 # ---------------------------------------------------------------------------
 
 
@@ -292,12 +300,26 @@ def _sum_by_recurrence(vt: VariableTableau, M: int):
         if i < len(spans):
             an, bn = spans[i]
             b_next = bn if an < bn else 0
-        # columns with neighbours neither above nor below fold into a chain
-        c0 = max(max(b_prev, b_next) + 1, a + 1)
-        for c in range(a + 1, min(c0 - 1, b) + 1):
+        # cells with neighbours neither above nor below fold into chains: a
+        # suffix chain from c0 to the right end, a prefix chain over the
+        # cells left of c1, and the whole row when the two meet
+        c0 = min(max(b_prev, b_next, a) + 1, b + 1)
+        c1 = a + 1
+        while c1 < c0 and ("p", c1) not in win.live and c1 > b_next:
+            c1 += 1
+        if c1 == c0:
+            c0 = a + 1
+        prefix = None
+        if a + 1 < c1 < c0:
+            # prefix[v - 1] sums the weak chains n_(a+1) <= ... <= n_(c1-1) <= v
+            terms, _ = _ez_terms([vt.value(i, c) for c in range(a + 1, c1)], M, star=True)
+            prefix = np.cumsum(terms, out=terms)
+        for c in range(c1, c0):
             w = _pow_vector(vt.value(i, c), M)
+            if c == c1 and prefix is not None:
+                w = w * prefix
             above = ("p", c) if ("p", c) in win.live else None
-            left = ("u", c - 1) if c - 1 > a else None
+            left = ("u", c - 1) if c > c1 else None
             # a left neighbour still wanted by the next row stays live under a
             # mask; otherwise it is summed into the new axis and disappears
             left_needed = left is not None and c - 1 <= b_next

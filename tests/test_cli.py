@@ -435,6 +435,30 @@ def test_fraction_content_round_trips(capsys):
     assert code == 0 and again["results"] == first["results"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval-mzv", "--args", "3+1j,2", "--M", "10"],
+        ["eval-rootzeta", "--rank", "2", "--svars", "2+1j,2,2", "--M", "8"],
+        ["eval-rootzeta", "--first-row", "2,2-0.5j", "--M", "8"],
+        ["verify", "antihook", "--bottom", "3+1j,2.5", "--column", "3", "--M", "10"],
+        ["verify", "antihook", "--bottom", "3,2.5", "--column", "3+1j", "--M", "10"],
+    ],
+    ids=["args", "svars", "first_row", "bottom", "column"],
+)
+def test_complex_array_entries_round_trip_through_a_job_file(argv, tmp_path, capsys):
+    # a complex entry is echoed as [re, im]; the job file must read it back
+    assert cli.main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    entries = [v for p in first["inputs"]["params"].values() if isinstance(p, list) for v in p]
+    assert any(isinstance(v, list) for v in entries)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(first["inputs"]))
+    assert cli.main(["job", str(path)]) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert again["inputs"] == first["inputs"] and again["results"] == first["results"]
+
+
 def test_expand_plain_and_latex(capsys):
     assert cli.main(["expand", "hook1", "--p", "1", "--q", "1", "--format", "plain"]) == 0
     out = capsys.readouterr().out

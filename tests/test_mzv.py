@@ -1,13 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schurzeta.mzv import (
     ContentAssignment,
     ConvergenceError,
     TruncationConfig,
+    _tail_bound,
+    _truncated_float,
     check_ez_domain,
     eval_ez,
     eval_ez_truncated,
@@ -58,6 +61,54 @@ def test_truncated_empty_and_errors():
 @settings(max_examples=60)
 def test_recurrence_matches_brute_force(s, M, star):
     assert eval_ez_truncated(s, M, star) == brute_force_ez(s, M, star)
+
+
+def reference_truncated_float(s, M, star):
+    """The floating recurrence with fresh arrays at every stage: new bases
+    and logs, a new cumsum and a concatenated shifted copy. The in-place
+    kernel must give the same bits."""
+
+    def powers(e):
+        m = np.arange(1.0, M + 1.0)
+        if isinstance(e, complex) and e.imag != 0:
+            return np.exp(-e * np.log(m))
+        return m ** (-float(complex(e).real))
+
+    A = powers(s[0])
+    rest = 1.0
+    for sj in s[1:]:
+        rest = A.sum()
+        cs = np.cumsum(A)
+        if not star:
+            cs = np.concatenate((np.zeros(1, dtype=cs.dtype), cs[:-1]))
+        A = powers(sj) * cs
+    total = A.sum()
+    return (complex(total) if np.iscomplexobj(A) else float(total)), rest
+
+
+EXPONENTS = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.floats(min_value=0.5, max_value=4),
+    st.builds(complex, st.floats(min_value=0.5, max_value=4), st.floats(min_value=-3, max_value=3)),
+    st.sampled_from([2 + 0j, 3 + 0j]),  # complex type, real value
+)
+
+
+@given(st.lists(EXPONENTS, min_size=1, max_size=4), st.integers(min_value=1, max_value=3000), st.booleans())
+@example([2 + 1j, 3.0, 2, 1.5], 1, False)
+@example([2 + 1j, 3.0, 2, 1.5], 1, True)
+@example([2.5, 2 - 1j, 3], 2, False)
+@example([3, 2 + 0j], 2, True)
+@settings(max_examples=200, deadline=None)
+def test_float_recurrence_is_bit_identical_to_the_fresh_array_reference(s, M, star):
+    value, rest = _truncated_float(s, M, star)
+    ref_value, ref_rest = reference_truncated_float(s, M, star)
+    assert type(value) is type(ref_value) and type(rest) is type(ref_rest)
+    assert value == ref_value and rest == ref_rest
+    if check_ez_domain(s):
+        res = eval_ez(s, TruncationConfig(M=M), star=star)
+        assert res.value == ref_value
+        assert res.tail_bound == _tail_bound(s, M, ref_rest)
 
 
 def test_float_matches_exact():

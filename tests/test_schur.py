@@ -10,8 +10,10 @@ from schurzeta.mzv import ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import Partition, SkewShape, enumerate_ssyt
 from schurzeta.schur import (
     VariableTableau,
+    _antihook_sum,
     _route,
     _sum_by_enumeration,
+    _sum_by_recurrence,
     antihook_tableau,
     check_W_lambda,
     eval_schur,
@@ -433,3 +435,44 @@ def test_row_window_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+# --- free cells folded into chains in the row window ---
+
+
+def _cycled(outer, inner):
+    shape = SkewShape(Partition(outer), Partition(inner))
+    return VariableTableau.from_cells(shape, {c: 1 + k % 3 for k, c in enumerate(shape.cells())})
+
+
+@given(per_cell_tableaux(), st.integers(min_value=1, max_value=6))
+# the third row's first cell has nothing above or below it
+@example(_cycled((3, 3, 3), (2, 2)), 5)
+# the second row's one cell has no neighbour: the whole row is one chain
+@example(_cycled((4, 3), (3, 2)), 6)
+# a row has free cells at both ends only when all of it is free, so this
+# pins free cells at the right end of the first row and the left end of the
+# second, beside a cell with a neighbour above
+@example(_cycled((5, 3), (2,)), 6)
+# a left run above a wholly free row
+@example(_cycled((4, 4, 1), (2, 1)), 6)
+@settings(max_examples=80, deadline=None)
+def test_row_window_equals_enumeration(vt, M):
+    window = _sum_by_recurrence(vt, M)
+    assert type(window) is float
+    assert window == pytest.approx(float(_sum_by_enumeration(vt, M)), rel=1e-12, abs=1e-300)
+
+
+def test_reversed_hook_row_window_is_linear_in_M():
+    # the bottom row's free cells fold into one prefix chain, so the state
+    # stays a vector of M entries: 160 kB here, where an M x M state would
+    # take 3.2 GB
+    bottom, column = [2.5, 2.2, 2.0], [3.0, 2.5]
+    tracemalloc.start()
+    try:
+        window = _sum_by_recurrence(antihook_tableau(bottom, column), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert window == pytest.approx(_antihook_sum(bottom, column, 20000, exact=False), rel=1e-12)
