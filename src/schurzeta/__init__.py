@@ -31,7 +31,6 @@ from .rootzeta import (
     chain_determinant,
     check_root_domain,
     eval_root_zeta,
-    hook_series_truncated,
     shifted_chain_table,
 )
 from .schur import (
@@ -80,7 +79,6 @@ __all__ = [
     "expand_grid_determinant",
     "expand_hook",
     "giambelli_det_expr",
-    "hook_series_truncated",
     "normalize",
     "shifted_chain_table",
 ]

@@ -357,7 +357,7 @@ def evaluate_expr(
             for f in t.factors:
                 if f not in cache:
                     cache[f] = eval_ez_truncated(
-                        assignment.sequence(f.args), cfg.M, star=f.kind == "star"
+                        assignment.sequence(f.args), cfg.M, star=f.kind == "star", exact=True
                     )
                 val *= cache[f]
             total += val
@@ -415,6 +415,7 @@ def eval_thm42(
         raise ValueError("M must be >= 1")
     _check_thm42_domain(lam, assignment)
     f = lam.frobenius()
+    # picks its own arithmetic, unlike the helpers, as bench/check.py's reference
     # z_0 and the longest arm and leg chains: every exponent the series uses
     exact = all(exact_exponent(assignment[k]) is not None for k in range(-f.q[0], f.p[0] + 1))
     res = _doubling_result(lambda m: chain_determinant(f, assignment, m, exact), M)

@@ -11,10 +11,11 @@ repository-wide convention: every running value stays <= M.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -193,16 +194,15 @@ def check_ez_domain(s: Sequence[Number], star: bool = False) -> bool:
     return True
 
 
-def _truncated_exact(s: Sequence[int], M: int, star: bool) -> Fraction:
-    # prefix-sum recurrence, one pass over m: acc[t] holds the sum over chains
-    # m_1 < ... < m_(t+1) whose last index is below m (at most m for star), so
-    # the whole depth-r sum costs O(M * r) instead of O(M ** r). Every term is
-    # an integer numerator over lcm(1..M)^(s_1 + ... + s_r), so the sums run
-    # on ints and one Fraction is built at the end
-    L = math.lcm(*range(1, M + 1))
+def _chain_numerators(s: Sequence[int], bases: Iterable[int], star: bool, L: int) -> Iterator[int]:
+    """The running sum over the chains of s (weak for star) taken in the
+    order of bases, yielded after each base as an integer numerator over
+    L^(s_1 + ... + s_r), L a multiple of every base. acc[t] sums the chains
+    of s[:t+1] whose last index comes before m (or is m, for star), so the
+    depth-r sum costs O(len(bases) * r) instead of O(len(bases) ** r)."""
     powers = [L**e for e in s]
     acc = [0] * len(s)
-    for m in range(1, M + 1):
+    for m in bases:
         prev = 1  # the empty chain
         for t, e in enumerate(s):
             term = prev * (powers[t] // m**e)
@@ -212,7 +212,14 @@ def _truncated_exact(s: Sequence[int], M: int, star: bool) -> Fraction:
             else:
                 prev = acc[t]
                 acc[t] += term
-    return Fraction(acc[-1], L ** sum(s))
+        yield acc[-1]
+
+
+def _truncated_exact(s: Sequence[int], M: int, star: bool) -> Fraction:
+    # only the last running numerator is kept, so memory stays O(r)
+    L = math.lcm(*range(1, M + 1))
+    last = deque(_chain_numerators(s, range(1, M + 1), star, L), maxlen=1).pop()
+    return Fraction(last, L ** sum(s))
 
 
 def _powers(s: Number, bases: np.ndarray, log_bases: np.ndarray | None = None) -> np.ndarray:
@@ -228,19 +235,20 @@ def _pow_vector(s: Number, M: int, shift: float = 0.0) -> np.ndarray:
     return _powers(s, np.arange(1.0, M + 1.0) + shift)
 
 
-def _ez_terms(s: Sequence[Number], M: int, star: bool) -> tuple[np.ndarray, Number]:
-    """The last stage of the prefix-sum recurrence, whose entry m - 1 is the
-    sum over the chains of s that end at m <= M, and the sum of the stage
-    before it (1 for depth 1), the truncated value of s[:-1].
+def _ez_terms(s: Sequence[Number], bases: np.ndarray, star: bool) -> tuple[np.ndarray, Number]:
+    """The last stage of the prefix-sum recurrence over the bases, in their
+    order: entry k sums the chains of s whose last index is bases[k]; and
+    the sum of the stage before it (1 for depth 1), over the bases 1..M the
+    truncated value of s[:-1].
 
-    The bases and, for a complex exponent, their logs are built once; each
-    stage's cumulative sum is taken in place and multiplied into the next
-    stage's powers, shifted by one for the strict chain. A stage turns
-    complex only where its exponent or an earlier one is complex.
+    The bases must be a contiguous array, so that a base's power does not
+    depend on its position. Their logs, needed only for a complex exponent,
+    are taken once; each stage's cumulative sum is taken in place and
+    multiplied into the next stage's powers, shifted by one for the strict
+    chain. A stage turns complex only where its exponent or an earlier one is.
     """
-    m = np.arange(1.0, M + 1.0)
-    log_m = np.log(m) if any(isinstance(v, complex) and v.imag != 0 for v in s) else None
-    A = _powers(s[0], m, log_m)
+    logs = np.log(bases) if any(isinstance(v, complex) and v.imag != 0 for v in s) else None
+    A = _powers(s[0], bases, logs)
     rest = 1.0
     for t, sj in enumerate(s[1:], 2):
         if t == len(s):
@@ -248,7 +256,7 @@ def _ez_terms(s: Sequence[Number], M: int, star: bool) -> tuple[np.ndarray, Numb
             # sequentially and drifts ~1e-11 relative at M = 1e6
             rest = A.sum()
         np.cumsum(A, out=A)
-        W = _powers(sj, m, log_m)
+        W = _powers(sj, bases, logs)
         if np.iscomplexobj(A) and not np.iscomplexobj(W):
             W = W.astype(complex)
         if star:
@@ -263,29 +271,22 @@ def _ez_terms(s: Sequence[Number], M: int, star: bool) -> tuple[np.ndarray, Numb
 def _truncated_float(s: Sequence[Number], M: int, star: bool) -> tuple[float | complex, Number]:
     """The sum truncated at M, and that of s[:-1] (1 for depth 1), which the
     tail bound needs."""
-    A, rest = _ez_terms(s, M, star)
+    A, rest = _ez_terms(s, np.arange(1.0, M + 1.0), star)
     total = A.sum()
     return (complex(total) if np.iscomplexobj(A) else float(total)), rest
 
 
-def eval_ez_truncated(
-    s: Sequence[Number], M: int, star: bool = False, exact: bool | None = None
-) -> Number:
-    """The finite sum with m_r <= M.
-
-    exact=None gives an exact Fraction when all exponents are non-negative
-    integers and double precision otherwise; exact=False forces double
-    precision.
+def eval_ez_truncated(s: Sequence[Number], M: int, star: bool = False, *, exact: bool) -> Number:
+    """The finite sum with m_r <= M: an exact Fraction (non-negative integer
+    exponents only) or a double-precision value, as exact says.
     """
     s = tuple(s)
     if M < 1:
         raise ValueError("M must be >= 1")
-    ints = [exact_exponent(v) for v in s]
-    if exact is None:
-        exact = None not in ints
     if not s:
         return Fraction(1) if exact else 1.0
     if exact:
+        ints = [exact_exponent(v) for v in s]
         if None in ints:
             raise ValueError("exact sums need non-negative integer exponents")
         return _truncated_exact(ints, M, star)

@@ -17,12 +17,15 @@ for a rank-r series at M, where the exact loop takes (M+1)^r.
 
 The chain tables at the bottom implement the coupled truncation used by the
 hook rewrite of Schur sums, where the bound applies to the running values
-x + m_1 + ... + m_k themselves; chain_determinant assembles them into the
-Thm 4.2 series of a content-parametrized Schur sum.
+x + m_1 + ... + m_k themselves. They are the Euler-Zagier prefix-sum
+recurrence of mzv run backwards, over M..1, in the arithmetic the caller
+names; chain_determinant assembles them into the Thm 4.2 series of a
+content-parametrized Schur sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -39,7 +42,9 @@ from .mzv import (
     Number,
     TruncationConfig,
     _arithmetic,
+    _chain_numerators,
     _doubling_result,
+    _ez_terms,
     _pow_vector,
     exact_exponent,
 )
@@ -245,42 +250,35 @@ def eval_root_zeta(args: RootZetaArgs, cfg: TruncationConfig, d: int = 0, x=None
 # ---------------------------------------------------------------------------
 
 
-def shifted_chain_table(svals: Sequence[Number], M: int, weak: bool, exact: bool | None = None):
+def shifted_chain_table(svals: Sequence[Number], M: int, weak: bool, exact: bool):
     """Table T with T[v] = sum over v <=/< n_1 <=/< ... <= M of prod n_t^(-s_t),
     for v = 0..M+1 (T[0] clamps the lower bound to 1).
 
-    Returns a list of Fractions in exact mode, else a numpy array.
+    A list of Fractions when exact (non-negative integer exponents only),
+    else a numpy array. The table is the prefix-sum recurrence of mzv run
+    over the bases M..1 with the exponents reversed: its running sums, read
+    backwards, are T[1..M] for the weak chain and T[0..M-1] for the strict.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     svals = tuple(svals)
-    if exact is None:
-        exact = all(exact_exponent(v) is not None for v in svals)
+    if not svals:
+        return [Fraction(1)] * (M + 2) if exact else np.ones(M + 2)
     if exact:
         ints = [exact_exponent(v) for v in svals]
-        if any(v is None for v in ints):
+        if None in ints:
             raise ValueError("exact chain tables need non-negative integer exponents")
-        T = [Fraction(1)] * (M + 2)
-        for s in reversed(ints):
-            G = [Fraction(0)] * (M + 2)
-            acc = Fraction(0)
-            for u in range(M, 0, -1):
-                acc += T[u] / u**s
-                G[u] = acc
-            G[0] = acc
-            T = G if weak else [G[min(v + 1, M + 1)] for v in range(M + 2)]
-        return T
-    dtype = complex if any(isinstance(v, complex) and v.imag for v in svals) else float
-    T = np.ones(M + 2, dtype=dtype)
-    for s in reversed(svals):
-        w = _pow_vector(s, M) * T[1 : M + 1]
-        G = np.zeros(M + 2, dtype=dtype)
-        G[1 : M + 1] = np.cumsum(w[::-1])[::-1]
-        G[0] = G[1]
-        if weak:
-            T = G
-        else:
-            T = np.concatenate((G[1:], np.zeros(1, dtype=dtype)))
+        L = math.lcm(*range(1, M + 1))
+        D = L ** sum(ints)
+        sums = [Fraction(n, D) for n in _chain_numerators(ints[::-1], range(M, 0, -1), weak, L)]
+        T = [Fraction(0)] * (M + 2)
+    else:
+        A, _ = _ez_terms(svals[::-1], np.arange(float(M), 0.0, -1.0), star=weak)
+        sums = np.cumsum(A, out=A)
+        T = np.zeros(M + 2, dtype=A.dtype)
+    lo = 1 if weak else 0
+    T[lo : M + lo] = sums[::-1]
+    T[0] = T[lo]
     return T
 
 
@@ -342,13 +340,3 @@ def chain_determinant(frobenius: FrobeniusForm, assignment: ContentAssignment, M
     det = _det(legs.astype(ext) @ arms.T.astype(ext))
     return complex(det) if ext is np.clongdouble else float(det)
 
-
-def hook_series_truncated(z0: Number, plus: Sequence[Number], minus: Sequence[Number], M: int) -> Number:
-    """The hook rewrite at coupled truncation M:
-    sum over m <= M of m^(-z0) * weak chain from m over `plus`
-    * strict chain above m over `minus`, the N = 1 chain_determinant.
-    """
-    values = {0: z0, **dict(enumerate(plus, 1)), **{-k: v for k, v in enumerate(minus, 1)}}
-    exact = all(exact_exponent(v) is not None for v in values.values())
-    hook = FrobeniusForm((len(plus),), (len(minus),))
-    return chain_determinant(hook, ContentAssignment(values), M, exact)

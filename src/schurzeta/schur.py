@@ -83,9 +83,6 @@ class VariableTableau:
     def value(self, i: int, j: int) -> Number:
         return self.cell_values[(i, j)]
 
-    def is_exact(self) -> bool:
-        return all(exact_exponent(v) is not None for v in self.cell_values.values())
-
     def to_json(self) -> dict:
         return {
             "shape": self.shape.to_json(),
@@ -196,9 +193,11 @@ def _sum_by_enumeration(vt: VariableTableau, M: int) -> Fraction:
 # cumulative sums, so each row costs a handful of cumsum/gather passes over
 # the state. Cells with no neighbour above or below open no axis: at the
 # right end of a row they fold into a weak suffix chain over the last placed
-# cell, at the left end into a weak prefix chain (the Euler-Zagier star
-# recurrence) in the weight of the first placed cell, and a row of such cells
-# into one scalar. So the state holds M ** w entries, w at most one more than
+# cell, at the left end into a weak prefix chain in the weight of the first
+# placed cell, and a row of such cells into one scalar. Both chains come from
+# one recurrence, the Euler-Zagier star recurrence mzv._ez_terms, run over
+# 1..M for the prefix and over M..1 (rootzeta.shifted_chain_table) for the
+# suffix. So the state holds M ** w entries, w at most one more than
 # the sum of the row's overlaps with its neighbours, and a reversed hook,
 # whose bottom row's free cells fold into one prefix chain, stays at M.
 # ---------------------------------------------------------------------------
@@ -312,7 +311,8 @@ def _sum_by_recurrence(vt: VariableTableau, M: int):
         prefix = None
         if a + 1 < c1 < c0:
             # prefix[v - 1] sums the weak chains n_(a+1) <= ... <= n_(c1-1) <= v
-            terms, _ = _ez_terms([vt.value(i, c) for c in range(a + 1, c1)], M, star=True)
+            svals = [vt.value(i, c) for c in range(a + 1, c1)]
+            terms, _ = _ez_terms(svals, np.arange(1.0, M + 1.0), star=True)
             prefix = np.cumsum(terms, out=terms)
         for c in range(c1, c0):
             w = _pow_vector(vt.value(i, c), M)
@@ -346,16 +346,13 @@ def _sum_by_recurrence(vt: VariableTableau, M: int):
     return complex(total) if dtype is complex else float(total)
 
 
-def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool | None = None) -> Number:
-    """Sum over all semi-standard fillings with entries <= M.
-
-    exact=None picks rational arithmetic when every exponent is a
-    non-negative integer; exact=False forces the floating recurrence.
+def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool) -> Number:
+    """Sum over all semi-standard fillings with entries <= M, by definition:
+    enumeration in Fractions when exact (non-negative integer exponents
+    only), else the floating row-window recurrence.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if exact is None:
-        exact = vt.is_exact()
     if exact:
         return _sum_by_enumeration(vt, M)
     return _sum_by_recurrence(vt, M)

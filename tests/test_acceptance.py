@@ -61,7 +61,7 @@ def test_criterion_1_hook_identities_exact():
                 vt = VariableTableau.from_content(Partition.hook(p, q), z)
                 for M in (4, 6, 8):
                     cfg = TruncationConfig(M=M, mode="exact")
-                    lhs = eval_schur_truncated(vt, M)
+                    lhs = eval_schur_truncated(vt, M, exact=True)
                     for variant in ("hook1", "hook2"):
                         rhs = evaluate_expr(expand_hook(p, q, variant), z, cfg).value
                         if lhs != rhs:
@@ -140,11 +140,11 @@ def test_criterion_6_mzv_golden_values():
     failures = []
     # independent validation of the targets by truncated stuffle identities
     M = 60
-    z2 = eval_ez_truncated([2], M)
-    z4 = eval_ez_truncated([4], M)
-    if z2 * z2 != 2 * eval_ez_truncated([2, 2], M) + z4:
+    z2 = eval_ez_truncated([2], M, exact=True)
+    z4 = eval_ez_truncated([4], M, exact=True)
+    if z2 * z2 != 2 * eval_ez_truncated([2, 2], M, exact=True) + z4:
         failures.append("stuffle zeta(2)^2")
-    if eval_ez_truncated([2, 2], M, star=True) != eval_ez_truncated([2, 2], M) + z4:
+    if eval_ez_truncated([2, 2], M, star=True, exact=True) != eval_ez_truncated([2, 2], M, exact=True) + z4:
         failures.append("star decomposition")
 
     res = eval_ez([2], TruncationConfig(M=1_000_000))
@@ -167,11 +167,11 @@ def test_criterion_7_exact_algebraic_suite():
     for _ in range(200):  # stuffle at truncation
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         M = rng.randint(1, 50)
-        lhs = eval_ez_truncated([a], M) * eval_ez_truncated([b], M)
+        lhs = eval_ez_truncated([a], M, exact=True) * eval_ez_truncated([b], M, exact=True)
         rhs = (
-            eval_ez_truncated([a, b], M)
-            + eval_ez_truncated([b, a], M)
-            + eval_ez_truncated([a + b], M)
+            eval_ez_truncated([a, b], M, exact=True)
+            + eval_ez_truncated([b, a], M, exact=True)
+            + eval_ez_truncated([a + b], M, exact=True)
         )
         if lhs != rhs:
             failures.append(("stuffle", a, b, M))
@@ -180,8 +180,8 @@ def test_criterion_7_exact_algebraic_suite():
     for _ in range(120):  # star / strict decomposition
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         M = rng.randint(1, 50)
-        lhs = eval_ez_truncated([a, b], M, star=True)
-        rhs = eval_ez_truncated([a, b], M) + eval_ez_truncated([a + b], M)
+        lhs = eval_ez_truncated([a, b], M, star=True, exact=True)
+        rhs = eval_ez_truncated([a, b], M, exact=True) + eval_ez_truncated([a + b], M, exact=True)
         if lhs != rhs:
             failures.append(("star", a, b, M))
         cases += 1
@@ -189,7 +189,7 @@ def test_criterion_7_exact_algebraic_suite():
     for _ in range(60):  # depth-1 agreement
         a = rng.randint(0, 5)
         M = rng.randint(1, 60)
-        if eval_ez_truncated([a], M) != eval_ez_truncated([a], M, star=True):
+        if eval_ez_truncated([a], M, exact=True) != eval_ez_truncated([a], M, star=True, exact=True):
             failures.append(("depth1", a, M))
         cases += 1
 

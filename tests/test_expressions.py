@@ -201,7 +201,7 @@ def test_evaluate_expr_examples():
     cfg = TruncationConfig(M=3, mode="exact")
     e = expand_hook(0, 1, "hook1")
     vt = VariableTableau.from_content(Partition((1, 1)), {0: 2, -1: 2})
-    assert evaluate_expr(e, {0: 2, -1: 2}, cfg).value == eval_schur_truncated(vt, 3)
+    assert evaluate_expr(e, {0: 2, -1: 2}, cfg).value == eval_schur_truncated(vt, 3, exact=True)
     assert evaluate_expr(e, {0: 2, -1: 2}, cfg).value == Fraction(7, 18)
 
 
@@ -240,7 +240,7 @@ def test_empty_expression_evaluates_to_zero():
 
 def test_thm42_single_cell_is_riemann():
     res = eval_thm42(Partition((1,)), {0: 3}, 40)
-    assert res.value == eval_ez_truncated([3], 40)
+    assert res.value == eval_ez_truncated([3], 40, exact=True)
     assert res.heuristic
 
 
@@ -249,7 +249,7 @@ def test_thm42_hook_matches_tableau():
     lam = Partition((2, 1))
     vt = VariableTableau.from_content(lam, z)
     for M in (3, 6, 10):
-        assert eval_thm42(lam, z, M).value == eval_schur_truncated(vt, M)
+        assert eval_thm42(lam, z, M).value == eval_schur_truncated(vt, M, exact=True)
 
 
 def test_thm42_two_by_two_numerical():
@@ -266,14 +266,14 @@ def test_thm42_three_by_three_exact():
     lam = Partition((3, 3, 3))
     vt = VariableTableau.from_content(lam, z)
     for M in (3, 4):
-        assert eval_thm42(lam, z, M).value == eval_schur_truncated(vt, M)
+        assert eval_thm42(lam, z, M).value == eval_schur_truncated(vt, M, exact=True)
 
 
 def test_expansion_matches_tableau_asymmetric_shape():
     lam = Partition((4, 3, 3, 2))
     z = {0: 3, 1: 2, 2: 1, 3: 2, -1: 1, -2: 2, -3: 2}
     cfg = TruncationConfig(M=4, mode="exact")
-    lhs = eval_schur_truncated(VariableTableau.from_content(lam, z), 4)
+    lhs = eval_schur_truncated(VariableTableau.from_content(lam, z), 4, exact=True)
     assert evaluate_expr(expand_giambelli(lam, "standard"), z, cfg).value == lhs
     assert evaluate_expr(expand_giambelli(lam, "reversed"), z, cfg).value == lhs
 
@@ -281,7 +281,7 @@ def test_expansion_matches_tableau_asymmetric_shape():
 def test_expansion_matches_tableau_complex_content():
     z = {0: 3, 1: 2 + 0.3j, -1: 2}
     lam = Partition((2, 2))
-    lhs = eval_schur_truncated(VariableTableau.from_content(lam, z), 60)
+    lhs = eval_schur_truncated(VariableTableau.from_content(lam, z), 60, exact=False)
     rhs = evaluate_expr(expand_giambelli(lam), z, TruncationConfig(M=60)).value
     assert abs(lhs - rhs) < 1e-12
 
@@ -302,7 +302,7 @@ def test_giambelli_numerical_consistency_small():
     grid = giambelli_det_expr(lam)
     vals = [
         [
-            eval_schur_truncated(VariableTableau.from_content(e.shape, z), 30)
+            eval_schur_truncated(VariableTableau.from_content(e.shape, z), 30, exact=True)
             for e in row
         ]
         for row in grid

@@ -42,15 +42,15 @@ def test_domain_examples():
 
 
 def test_truncated_examples():
-    assert eval_ez_truncated([2], 2) == Fraction(5, 4)
-    assert eval_ez_truncated([1, 2], 3) == Fraction(5, 12)
-    assert eval_ez_truncated([1, 2], 2, star=True) == Fraction(11, 8)
+    assert eval_ez_truncated([2], 2, exact=True) == Fraction(5, 4)
+    assert eval_ez_truncated([1, 2], 3, exact=True) == Fraction(5, 12)
+    assert eval_ez_truncated([1, 2], 2, star=True, exact=True) == Fraction(11, 8)
 
 
 def test_truncated_empty_and_errors():
-    assert eval_ez_truncated([], 5) == 1
+    assert eval_ez_truncated([], 5, exact=True) == 1
     with pytest.raises(ValueError):
-        eval_ez_truncated([2], 0)
+        eval_ez_truncated([2], 0, exact=True)
 
 
 @given(
@@ -60,7 +60,7 @@ def test_truncated_empty_and_errors():
 )
 @settings(max_examples=60)
 def test_recurrence_matches_brute_force(s, M, star):
-    assert eval_ez_truncated(s, M, star) == brute_force_ez(s, M, star)
+    assert eval_ez_truncated(s, M, star, exact=True) == brute_force_ez(s, M, star)
 
 
 def reference_truncated_float(s, M, star):
@@ -111,16 +111,52 @@ def test_float_recurrence_is_bit_identical_to_the_fresh_array_reference(s, M, st
         assert res.tail_bound == _tail_bound(s, M, ref_rest)
 
 
+def reference_truncated_exact(s, M, star):
+    """The exact recurrence as one fused loop over m on integer numerators
+    over lcm(1..M)^(s_1 + ... + s_r): the reference for the generator that
+    also serves the exact chain tables."""
+    L = math.lcm(*range(1, M + 1))
+    powers = [L**e for e in s]
+    acc = [0] * len(s)
+    for m in range(1, M + 1):
+        prev = 1
+        for t, e in enumerate(s):
+            term = prev * (powers[t] // m**e)
+            if star:
+                acc[t] += term
+                prev = acc[t]
+            else:
+                prev = acc[t]
+                acc[t] += term
+    return Fraction(acc[-1], L ** sum(s))
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=300),
+    st.booleans(),
+)
+@example([2, 3, 1], 1, False)
+@example([2, 3, 1], 1, True)
+@example([1, 3], 2, False)
+@example([1, 3], 2, True)
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_equals_the_fused_loop(s, M, star):
+    value = eval_ez_truncated(s, M, star, exact=True)
+    assert type(value) is Fraction
+    assert value == reference_truncated_exact(s, M, star)
+
+
 def test_float_matches_exact():
     for s, star in [((2, 3), False), ((2, 2), True), ((1, 2), False)]:
-        exact = eval_ez_truncated(s, 50, star)
-        floating = eval_ez_truncated([float(v) for v in s], 50, star)
+        exact = eval_ez_truncated(s, 50, star, exact=True)
+        floating = eval_ez_truncated([float(v) for v in s], 50, star, exact=False)
         assert abs(float(exact) - floating) < 1e-12
         assert eval_ez_truncated(s, 50, star, exact=False) == floating
 
 
 def test_complex_exponents():
-    v = eval_ez_truncated([2 + 1j], 100)
+    v = eval_ez_truncated([2 + 1j], 100, exact=False)
     direct = sum(m ** (-(2 + 1j)) for m in range(1, 101))
     assert abs(v - direct) < 1e-12
 
@@ -135,10 +171,10 @@ def test_golden_zeta2():
 def test_golden_depth_two():
     # targets validated by the truncated stuffle identities in exact arithmetic
     M = 60
-    z2 = eval_ez_truncated([2], M)
-    z4 = eval_ez_truncated([4], M)
-    assert z2 * z2 == 2 * eval_ez_truncated([2, 2], M) + z4
-    assert eval_ez_truncated([2, 2], M, star=True) == eval_ez_truncated([2, 2], M) + z4
+    z2 = eval_ez_truncated([2], M, exact=True)
+    z4 = eval_ez_truncated([4], M, exact=True)
+    assert z2 * z2 == 2 * eval_ez_truncated([2, 2], M, exact=True) + z4
+    assert eval_ez_truncated([2, 2], M, star=True, exact=True) == eval_ez_truncated([2, 2], M, exact=True) + z4
 
     res = eval_ez([2, 2], TruncationConfig(M=50_000))
     assert abs(res.value - math.pi**4 / 120) <= res.tail_bound
@@ -151,9 +187,9 @@ def test_log_factor_applies_at_re_one():
     plain = eval_ez([2, 2], TruncationConfig(M=M))
     logged = eval_ez([1, 3], TruncationConfig(M=M))
     # same integral rule, but the inner exponent 1 triggers the log inflation
-    base = M ** (1 - 3) / (3 - 1) * abs(eval_ez_truncated([1.0], M))
+    base = M ** (1 - 3) / (3 - 1) * abs(eval_ez_truncated([1.0], M, exact=False))
     assert logged.tail_bound == pytest.approx(base * (1 + math.log(M)))
-    assert plain.tail_bound == pytest.approx(M ** (-1) * abs(eval_ez_truncated([2.0], M)))
+    assert plain.tail_bound == pytest.approx(M ** (-1) * abs(eval_ez_truncated([2.0], M, exact=False)))
 
 
 def second_pass_tail_bound(s, M, star):
@@ -163,7 +199,7 @@ def second_pass_tail_bound(s, M, star):
     tail = M ** (1.0 - sr) / (sr - 1.0)
     if any(complex(v).real == 1.0 for v in s[:-1]):
         tail *= (1.0 + math.log(M)) ** (len(s) - 1)
-    return tail * abs(eval_ez_truncated([complex(v) for v in s[:-1]], M, star))
+    return tail * abs(eval_ez_truncated([complex(v) for v in s[:-1]], M, star, exact=False))
 
 
 @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
@@ -183,8 +219,8 @@ def test_tail_bound_reuses_the_remaining_sum(s, star):
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=10, max_value=200))
 @settings(max_examples=30)
 def test_monotone_convergence(s, M):
-    v1 = eval_ez_truncated([float(s)], M)
-    v2 = eval_ez_truncated([float(s)], 2 * M)
+    v1 = eval_ez_truncated([float(s)], M, exact=False)
+    v2 = eval_ez_truncated([float(s)], 2 * M, exact=False)
     res = eval_ez([s * 1.0], TruncationConfig(M=M))
     assert v2 >= v1
     assert v2 <= v1 + res.tail_bound
@@ -198,8 +234,8 @@ def test_monotone_convergence(s, M):
 @settings(max_examples=25)
 def test_monotone_convergence_deeper(s, M, star):
     s = s[:-1] + [max(s[-1], 1.5)]  # keep the outermost exponent clear of 1
-    v1 = eval_ez_truncated(s, M, star)
-    v2 = eval_ez_truncated(s, 2 * M, star)
+    v1 = eval_ez_truncated(s, M, star, exact=False)
+    v2 = eval_ez_truncated(s, 2 * M, star, exact=False)
     res = eval_ez(s, TruncationConfig(M=M), star=star)
     assert v2 >= v1
     assert v2 <= v1 + res.tail_bound
@@ -224,7 +260,7 @@ def test_convergence_error():
 
 def test_depth_one_star_agrees():
     for M in (1, 5, 17):
-        assert eval_ez_truncated([3], M) == eval_ez_truncated([3], M, star=True)
+        assert eval_ez_truncated([3], M, exact=True) == eval_ez_truncated([3], M, star=True, exact=True)
 
 
 def test_content_assignment():

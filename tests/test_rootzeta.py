@@ -6,18 +6,18 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from schurzeta.mzv import ConvergenceError, TruncationConfig, eval_ez_truncated
-from schurzeta.partitions import Partition
+from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig, eval_ez_truncated
+from schurzeta.partitions import FrobeniusForm, Partition
 from schurzeta.rootzeta import (
     RootZetaArgs,
     _box_sum,
     _grid_sum,
     canonical_pairs,
+    chain_determinant,
     check_root_domain,
     eval_root_zeta,
-    hook_series_truncated,
     shifted_chain_table,
 )
 from schurzeta.schur import VariableTableau, eval_schur_truncated
@@ -79,7 +79,7 @@ def test_rank_one_is_riemann():
     # the doubling estimate is a heuristic; a pure 1/M tail sits exactly at
     # its boundary, hence the few-percent slack
     assert abs(res.value - math.pi**2 / 6) <= 1.05 * res.tail_bound
-    assert eval_root_zeta(args, exact(4000)).value == eval_ez_truncated([2], 4000)
+    assert eval_root_zeta(args, exact(4000)).value == eval_ez_truncated([2], 4000, exact=True)
 
 
 def test_rank_two_against_brute_force():
@@ -117,7 +117,7 @@ def test_bullet_prime_rule():
     # summand of the rank-1 series is an empty product contributing 1
     args = RootZetaArgs.full(1, [2])
     res = eval_root_zeta(args, exact(50), d=1)
-    assert res.value == 1 + eval_ez_truncated([2], 50)
+    assert res.value == 1 + eval_ez_truncated([2], 50, exact=True)
 
 
 def test_bullet_d_zero_collapse():
@@ -141,7 +141,7 @@ def test_bullet_first_row_example():
 def test_H_shift():
     args = RootZetaArgs.full(1, [2])
     res = eval_root_zeta(args, exact(50), x=1)
-    assert res.value == eval_ez_truncated([2], 51) - 1
+    assert res.value == eval_ez_truncated([2], 51, exact=True) - 1
     half = eval_root_zeta(args, exact(20), x=Fraction(1, 2))
     direct = sum(Fraction(1, (Fraction(1, 2) + m) ** 2) for m in range(1, 21))
     assert half.value == direct
@@ -164,7 +164,7 @@ def test_H_single_term():
 def test_bullet_H():
     args = RootZetaArgs.full(1, [2])
     res = eval_root_zeta(args, exact(50), d=1, x=1)
-    assert res.value == eval_ez_truncated([2], 51)  # index shift onto 1..M+1
+    assert res.value == eval_ez_truncated([2], 51, exact=True)  # index shift onto 1..M+1
     assert eval_root_zeta(args, exact(20), d=0, x=1).value == eval_root_zeta(args, exact(20), x=1).value
     args2 = RootZetaArgs.first_row([2, 2])
     assert eval_root_zeta(args2, exact(2), d=2, x=1).value == brute_force_root(args2, 2, d=2, x=1)
@@ -300,7 +300,7 @@ def test_grid_sum_pinned_cases(args, M, d, x):
 
 def test_grid_sum_of_a_free_last_index():
     value = _grid_sum(RootZetaArgs(2, {(1, 2): 2}), 7, 0, None)
-    assert value == pytest.approx(7 * float(eval_ez_truncated([2], 7)), rel=1e-14)
+    assert value == pytest.approx(7 * float(eval_ez_truncated([2], 7, exact=True)), rel=1e-14)
 
 
 def test_grid_sum_memory_is_bounded():
@@ -324,8 +324,8 @@ def test_grid_sum_memory_is_bounded():
 
 def test_chain_tables_against_brute_force():
     M = 9
-    weak = shifted_chain_table([2, 3], M, weak=True)
-    strict = shifted_chain_table([2, 3], M, weak=False)
+    weak = shifted_chain_table([2, 3], M, weak=True, exact=True)
+    strict = shifted_chain_table([2, 3], M, weak=False, exact=True)
     for x in range(0, M + 1):
         lo = max(x, 1)
         w = sum(
@@ -345,14 +345,116 @@ def test_chain_tables_against_brute_force():
 def test_chain_tables_float_matches_exact():
     M = 30
     for weak in (True, False):
-        exact = shifted_chain_table([2, 2], M, weak=weak)
-        floating = shifted_chain_table([2.0, 2.0], M, weak=weak)
+        exact = shifted_chain_table([2, 2], M, weak=weak, exact=True)
+        floating = shifted_chain_table([2.0, 2.0], M, weak=weak, exact=False)
         for x in (0, 1, 5, M):
             assert float(exact[x]) == pytest.approx(floating[x], rel=1e-12)
 
 
 def test_empty_chain_is_one():
-    assert all(v == 1 for v in shifted_chain_table([], 5, weak=True))
+    assert all(v == 1 for v in shifted_chain_table([], 5, weak=True, exact=True))
+
+
+def reference_float_chain_table(svals, M, weak):
+    """The floating chain table as one backward cumsum per exponent, built
+    from the innermost exponent out: the reference for the table the
+    Euler-Zagier recurrence gives over the bases M..1."""
+    dtype = complex if any(isinstance(v, complex) and v.imag for v in svals) else float
+    m = np.arange(1.0, M + 1.0)
+    T = np.ones(M + 2, dtype=dtype)
+    for s in reversed(svals):
+        if isinstance(s, complex) and s.imag != 0:
+            powers = np.exp(-s * np.log(m))
+        else:
+            powers = m ** (-float(complex(s).real))
+        w = powers * T[1 : M + 1]
+        G = np.zeros(M + 2, dtype=dtype)
+        G[1 : M + 1] = np.cumsum(w[::-1])[::-1]
+        G[0] = G[1]
+        if weak:
+            T = G
+        else:
+            T = np.concatenate((G[1:], np.zeros(1, dtype=dtype)))
+    return T
+
+
+def reference_exact_chain_table(svals, M, weak):
+    """The exact chain table summed in Fractions, one backward pass per
+    exponent."""
+    T = [Fraction(1)] * (M + 2)
+    for s in reversed(svals):
+        G = [Fraction(0)] * (M + 2)
+        acc = Fraction(0)
+        for u in range(M, 0, -1):
+            acc += T[u] / u**s
+            G[u] = acc
+        G[0] = acc
+        T = G if weak else [G[min(v + 1, M + 1)] for v in range(M + 2)]
+    return T
+
+
+CHAIN_EXPONENTS = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.floats(min_value=0.5, max_value=4),
+    st.builds(complex, st.floats(min_value=0.5, max_value=4), st.floats(min_value=-3, max_value=3)),
+    st.sampled_from([2 + 0j, 3 + 0j]),  # complex type, real value
+)
+
+
+@given(st.lists(CHAIN_EXPONENTS, max_size=4), st.integers(min_value=1, max_value=2000), st.booleans())
+@example([], 3, True)
+@example([], 3, False)
+@example([2 + 1j, 3.0, 2, 1.5], 1, False)
+@example([2 + 1j, 3.0, 2, 1.5], 1, True)
+@example([2.5, 2 - 1j, 3], 2, False)
+@example([3, 2 + 0j], 2, True)
+@settings(max_examples=200, deadline=None)
+def test_float_chain_table_is_bit_identical_to_the_backward_cumsum(svals, M, weak):
+    table = shifted_chain_table(svals, M, weak=weak, exact=False)
+    ref = reference_float_chain_table(svals, M, weak)
+    assert table.shape == (M + 2,) and table.dtype == ref.dtype
+    assert np.array_equal(table, ref)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), max_size=4),
+    st.integers(min_value=1, max_value=40),
+    st.booleans(),
+)
+@example([], 3, True)
+@example([], 3, False)
+@example([2, 3, 1], 1, False)
+@example([2, 3, 1], 1, True)
+@example([1, 3], 2, False)
+@example([1, 3], 2, True)
+@settings(max_examples=150, deadline=None)
+def test_exact_chain_table_equals_the_fraction_loop(svals, M, weak):
+    table = shifted_chain_table(svals, M, weak=weak, exact=True)
+    ref = reference_exact_chain_table(svals, M, weak)
+    assert len(table) == M + 2
+    assert all(type(v) is Fraction for v in table)
+    assert table == ref
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_ez_truncated([2], 10),
+        lambda: eval_schur_truncated(VariableTableau.from_content(Partition((1,)), {0: 2}), 10),
+        lambda: shifted_chain_table([2], 10, weak=True),
+    ],
+    ids=["eval_ez_truncated", "eval_schur_truncated", "shifted_chain_table"],
+)
+def test_helpers_take_their_arithmetic_from_the_caller(call):
+    with pytest.raises(TypeError, match="exact"):
+        call()
+
+
+def test_exact_helpers_refuse_non_integer_exponents():
+    with pytest.raises(ValueError, match="non-negative integer"):
+        eval_ez_truncated([2.5], 10, exact=True)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        shifted_chain_table([2, 2.5], 10, weak=False, exact=True)
 
 
 def test_hook_rewrite_matches_tableau_sum():
@@ -367,15 +469,13 @@ def test_hook_rewrite_matches_tableau_sum():
     ]
     for p, q, z in cases:
         for M in (3, 6):
-            plus = [z[t] for t in range(1, p + 1)]
-            minus = [z[-t] for t in range(1, q + 1)]
-            bridge = hook_series_truncated(z[0], plus, minus, M)
+            bridge = chain_determinant(FrobeniusForm((p,), (q,)), ContentAssignment(z), M, True)
             vt = VariableTableau.from_content(Partition.hook(p, q), z)
-            assert bridge == eval_schur_truncated(vt, M)
+            assert bridge == eval_schur_truncated(vt, M, exact=True)
 
 
 def test_hook_rewrite_float():
     z = {0: 3.0, 1: 2.0, -1: 2.0}
-    v = hook_series_truncated(z[0], [z[1]], [z[-1]], 40)
+    v = chain_determinant(FrobeniusForm((1,), (1,)), ContentAssignment(z), 40, False)
     vt = VariableTableau.from_content(Partition.hook(1, 1), {0: 3, 1: 2, -1: 2})
-    assert v == pytest.approx(float(eval_schur_truncated(vt, 40)), rel=1e-12)
+    assert v == pytest.approx(float(eval_schur_truncated(vt, 40, exact=True)), rel=1e-12)

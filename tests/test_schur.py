@@ -66,19 +66,19 @@ def test_check_W_lambda_examples():
 
 def test_truncated_examples():
     assert eval_schur_truncated(
-        VariableTableau.from_content(Partition((1,)), {0: 2}), 2
+        VariableTableau.from_content(Partition((1,)), {0: 2}), 2, exact=True
     ) == Fraction(5, 4)
     assert eval_schur_truncated(
-        VariableTableau.from_content(Partition((1, 1)), {0: 2, -1: 2}), 3
+        VariableTableau.from_content(Partition((1, 1)), {0: 2, -1: 2}), 3, exact=True
     ) == Fraction(7, 18)
     assert eval_schur_truncated(
-        VariableTableau.from_content(Partition((2,)), {0: 2, 1: 2}), 2
+        VariableTableau.from_content(Partition((2,)), {0: 2, 1: 2}), 2, exact=True
     ) == Fraction(21, 16)
 
 
 def test_empty_shape_is_one():
     vt = VariableTableau.from_content(Partition(()), {})
-    assert eval_schur_truncated(vt, 5) == 1
+    assert eval_schur_truncated(vt, 5, exact=True) == 1
 
 
 def test_row_column_degeneration():
@@ -89,8 +89,8 @@ def test_row_column_degeneration():
         row_args = [z[j] for j in range(n)]
         col_args = [z[-j] for j in range(n)]
         for M in (1, 2, 3, 5, 9):
-            assert eval_schur_truncated(row, M) == eval_ez_truncated(row_args, M, star=True)
-            assert eval_schur_truncated(col, M) == eval_ez_truncated(col_args, M)
+            assert eval_schur_truncated(row, M, exact=True) == eval_ez_truncated(row_args, M, star=True, exact=True)
+            assert eval_schur_truncated(col, M, exact=True) == eval_ez_truncated(col_args, M, exact=True)
 
 
 def test_recurrence_matches_enumeration_randomized():
@@ -123,7 +123,7 @@ def test_recurrence_handles_complex():
         for m1 in range(1, M + 1)
         for m2 in range(m1, M + 1)
     )
-    assert eval_schur_truncated(vt, M) == pytest.approx(direct, rel=1e-12)
+    assert eval_schur_truncated(vt, M, exact=False) == pytest.approx(direct, rel=1e-12)
 
 
 def test_hook_identities_exact_small():
@@ -132,16 +132,16 @@ def test_hook_identities_exact_small():
     for p, q in [(0, 0), (1, 1), (2, 1), (1, 2)]:
         vt = VariableTableau.from_content(Partition.hook(p, q), z)
         for M in (2, 5):
-            lhs = eval_schur_truncated(vt, M)
+            lhs = eval_schur_truncated(vt, M, exact=True)
             rhs1 = Fraction(0)
             for j in range(q + 1):
-                star = eval_ez_truncated([z[t] for t in range(-j, p + 1)], M, star=True)
-                rest = eval_ez_truncated([z[-t] for t in range(j + 1, q + 1)], M)
+                star = eval_ez_truncated([z[t] for t in range(-j, p + 1)], M, star=True, exact=True)
+                rest = eval_ez_truncated([z[-t] for t in range(j + 1, q + 1)], M, exact=True)
                 rhs1 += (-1) ** j * star * rest
             rhs2 = Fraction(0)
             for j in range(p + 1):
-                strict = eval_ez_truncated([z[t] for t in range(j, -q - 1, -1)], M)
-                rest = eval_ez_truncated([z[t] for t in range(j + 1, p + 1)], M, star=True)
+                strict = eval_ez_truncated([z[t] for t in range(j, -q - 1, -1)], M, exact=True)
+                rest = eval_ez_truncated([z[t] for t in range(j + 1, p + 1)], M, star=True, exact=True)
                 rhs2 += (-1) ** j * strict * rest
             assert lhs == rhs1
             assert lhs == rhs2
@@ -197,9 +197,9 @@ def test_antihook_rhs_expansion_k1_l1():
     s00, s10, s11 = 2, 3, 4
     cfg = TruncationConfig(M=7, mode="exact")
     res = eval_skew_antihook_rhs([s00, s10], [s11], cfg)
-    expected = -eval_ez_truncated([s11, s10, s00], 7) + eval_ez_truncated(
-        [s00], 7, star=True
-    ) * eval_ez_truncated([s11, s10], 7)
+    expected = -eval_ez_truncated([s11, s10, s00], 7, exact=True) + eval_ez_truncated(
+        [s00], 7, star=True, exact=True
+    ) * eval_ez_truncated([s11, s10], 7, exact=True)
     assert res.value == expected
 
 
@@ -226,7 +226,7 @@ def test_antihook_exact_matches_brute_force():
 def test_antihook_truncation_one_is_zero():
     # a column of two cells cannot be filled with entries <= 1
     vt = antihook_tableau([2, 2], [2])
-    assert eval_schur_truncated(vt, 1) == 0
+    assert eval_schur_truncated(vt, 1, exact=True) == 0
     rhs = eval_skew_antihook_rhs([2, 2], [2], TruncationConfig(M=1, mode="exact"))
     assert rhs.value == 0
 
