@@ -8,6 +8,7 @@ from .expressions import (
     ZetaSymbol,
     eval_thm42,
     evaluate_expr,
+    expand_antihook,
     expand_giambelli,
     expand_giambelli_terms,
     expand_grid_determinant,
@@ -74,6 +75,7 @@ __all__ = [
     "eval_skew_antihook_rhs",
     "eval_thm42",
     "evaluate_expr",
+    "expand_antihook",
     "expand_giambelli",
     "expand_giambelli_terms",
     "expand_grid_determinant",

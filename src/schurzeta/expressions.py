@@ -57,9 +57,12 @@ class ZetaSymbol:
         body = ", ".join(f"z_{{{k}}}" for k in self.args)
         return f"{head}({body})"
 
+    @property
+    def name(self) -> str:
+        return "zeta*" if self.kind == "star" else "zeta"
+
     def plain(self) -> str:
-        head = "zeta*" if self.kind == "star" else "zeta"
-        return head + "(" + ",".join(f"z{k}" for k in self.args) + ")"
+        return self.name + "(" + ",".join(f"z{k}" for k in self.args) + ")"
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "args": list(self.args)}
@@ -213,6 +216,23 @@ def expand_hook(p: int, q: int, variant: str = "hook1") -> FormalExpr:
     return normalize(FormalExpr(tuple(FormalTerm(c, f) for c, f in _hook_terms(p, q, variant))))
 
 
+def expand_antihook(k: int, l: int) -> FormalExpr:
+    """The alternating star-times-strict expansion of the reversed hook
+    (k+1)^(l+1) / k^l, whose contents -l..k are all distinct: term i = 0..k
+    is (-1)^(k-i) zeta(z_k, ..., z_{i-l}) times zeta*(z_{-l}, ..., z_{i-l-1}),
+    the empty star factor at i = 0 omitted.
+    """
+    if k < 1 or l < 1:
+        raise ValueError("reversed hook needs k, l >= 1")
+    terms = []
+    for i in range(k + 1):
+        factors = (ZetaSymbol("strict", tuple(range(k, i - l - 1, -1))),)
+        if i:
+            factors += (ZetaSymbol("star", tuple(range(-l, i - l))),)
+        terms.append(FormalTerm((-1) ** (k - i), factors))
+    return normalize(FormalExpr(tuple(terms)))
+
+
 # ---------------------------------------------------------------------------
 # Giambelli determinant
 # ---------------------------------------------------------------------------
@@ -335,6 +355,24 @@ def _perm_sign(sigma: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def truncated_value(expr: FormalExpr, assignment: ContentAssignment, M: int, exact: bool) -> Number:
+    """Sum of coefficient times product of the factors truncated at M, each
+    symbol summed once, in the arithmetic exact names. The factors are
+    truncated sums, so none is checked for convergence."""
+    cache: dict[ZetaSymbol, Number] = {}
+    total = Fraction(0) if exact else 0.0
+    for t in expr.terms:
+        val = t.coefficient
+        for f in t.factors:
+            if f not in cache:
+                cache[f] = eval_ez_truncated(
+                    assignment.sequence(f.args), M, star=f.kind == "star", exact=exact
+                )
+            val *= cache[f]
+        total += val
+    return total
+
+
 def evaluate_expr(
     expr: FormalExpr, assignment: ContentAssignment | Mapping[int, Number], cfg: TruncationConfig
 ) -> EvalResult:
@@ -350,18 +388,7 @@ def evaluate_expr(
         cfg, (v for t in expr.terms for f in t.factors for v in assignment.sequence(f.args))
     )
     if exact:
-        cache: dict[ZetaSymbol, Fraction] = {}
-        total = Fraction(0)
-        for t in expr.terms:
-            val = Fraction(t.coefficient)
-            for f in t.factors:
-                if f not in cache:
-                    cache[f] = eval_ez_truncated(
-                        assignment.sequence(f.args), cfg.M, star=f.kind == "star", exact=True
-                    )
-                val *= cache[f]
-            total += val
-        return EvalResult(total, None, cfg.M)
+        return EvalResult(truncated_value(expr, assignment, cfg.M, exact=True), None, cfg.M)
     cfg = replace(cfg, mode="floating")
     results: dict[ZetaSymbol, EvalResult] = {}
     for t in expr.terms:
@@ -369,11 +396,12 @@ def evaluate_expr(
             if f in results:
                 continue
             values = assignment.sequence(f.args)
-            if not check_ez_domain(values, star=f.kind == "star"):
+            try:
+                results[f] = eval_ez(values, cfg, star=f.kind == "star")
+            except ConvergenceError:
                 raise ConvergenceError(
-                    f"factor {f.kind}{f.args} diverges under the given assignment"
-                )
-            results[f] = eval_ez(values, cfg, star=f.kind == "star")
+                    f"factor {f.kind} {f.plain()} = {f.name}{values} diverges"
+                ) from None
     total = 0.0 + 0.0j
     bound = 0.0
     for t in expr.terms:

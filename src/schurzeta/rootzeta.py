@@ -130,6 +130,8 @@ def _box_sum(args: RootZetaArgs, M: int, d: int, x) -> Fraction:
     r = args.r
     shift = Fraction(x) if x is not None else None
     svals = {pair: exact_exponent(v) for pair, v in args.s.items()}
+    if None in svals.values():
+        raise ValueError("exact box sums need non-negative integer exponents")
 
     total = Fraction(0)
     psums = [0] * (r + 2)  # psums[i] = m_i + ... + m_k at depth k

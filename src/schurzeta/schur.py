@@ -13,19 +13,23 @@ shape minus its last cell.
 eval_schur takes a closed form of the truncated sum where the shape has
 one, as both hold exactly at every M: the Thm 4.2 chain determinant for
 straight content-parametrized shapes, at about N^2 * M * |lambda| cost for
-Durfee size N, and the anti-hook sum for reversed hooks (k+1)^(l+1) / k^l.
+Durfee size N, and the anti-hook expansion for reversed hooks
+(k+1)^(l+1) / k^l. A reversed hook is a content shape, its contents -l..k
+all distinct, so its expansion (expressions.expand_antihook) is evaluated
+over the tableau's content assignment like any other expression.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .expressions import evaluate_expr, expand_antihook, truncated_value
 from .mzv import (
     ConvergenceError,
     ContentAssignment,
@@ -36,8 +40,6 @@ from .mzv import (
     _doubling_result,
     _ez_terms,
     _pow_vector,
-    _product,
-    eval_ez,
     eval_ez_truncated,
     exact_exponent,
 )
@@ -194,9 +196,10 @@ def _sum_by_enumeration(vt: VariableTableau, M: int) -> Fraction:
 # the state. Cells with no neighbour above or below open no axis: at the
 # right end of a row they fold into a weak suffix chain over the last placed
 # cell, at the left end into a weak prefix chain in the weight of the first
-# placed cell, and a row of such cells into one scalar. Both chains come from
-# one recurrence, the Euler-Zagier star recurrence mzv._ez_terms, run over
-# 1..M for the prefix and over M..1 (rootzeta.shifted_chain_table) for the
+# placed cell, and a row of such cells into one scalar, its truncated
+# zeta-star value. Both chains and that value come from one recurrence, the
+# Euler-Zagier star recurrence mzv._ez_terms, run over 1..M for the prefix
+# and the scalar and over M..1 (rootzeta.shifted_chain_table) for the
 # suffix. So the state holds M ** w entries, w at most one more than
 # the sum of the row's overlaps with its neighbours, and a reversed hook,
 # whose bottom row's free cells fold into one prefix chain, stays at M.
@@ -332,10 +335,10 @@ def _sum_by_recurrence(vt: VariableTableau, M: int):
             )
         if c0 <= b:
             svals = [vt.value(i, c) for c in range(c0, b + 1)]
-            chain = shifted_chain_table(svals, M, weak=True, exact=False)[1 : M + 1]
             if c0 == a + 1:
-                win.state = win.state * chain[0]
+                win.state = win.state * eval_ez_truncated(svals, M, star=True, exact=False)
             else:
+                chain = shifted_chain_table(svals, M, weak=True, exact=False)[1 : M + 1]
                 win.scale_axis(("u", c0 - 1), chain)
         for lab in list(win.live):
             kind, c = lab
@@ -359,9 +362,9 @@ def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool) -> Number:
 
 
 def _content_assignment(vt: VariableTableau) -> ContentAssignment | None:
-    """The z_k of a nonempty straight tableau whose cell (i, j) carries a
-    value that depends on j - i only; None for any other tableau."""
-    if not vt.shape.is_straight() or not vt.cell_values:
+    """The z_k of a nonempty tableau, straight or skew, whose cell (i, j)
+    carries a value that depends on j - i only; None for any other tableau."""
+    if not vt.cell_values:
         return None
     z: dict[int, Number] = {}
     for (i, j), v in vt.cell_values.items():
@@ -373,12 +376,14 @@ def _content_assignment(vt: VariableTableau) -> ContentAssignment | None:
 def _route(vt: VariableTableau, exact: bool):
     """(path, M -> truncated sum): a closed form where the shape has one."""
     z = _content_assignment(vt)
-    if z is not None:
-        frobenius = vt.shape.outer.frobenius()
+    shape = vt.shape
+    if z is not None and shape.is_straight():
+        frobenius = shape.outer.frobenius()
         return "chain-determinant", lambda M: chain_determinant(frobenius, z, M, exact)
-    sides = _antihook_sides(vt)
-    if sides is not None:
-        return "antihook", lambda M: _antihook_sum(*sides, M, exact)
+    k, l = shape.inner.part(1), len(shape.inner)
+    if z is not None and shape == _antihook_shape(k, l):
+        expr = expand_antihook(k, l)
+        return "antihook", lambda M: truncated_value(expr, z, M, exact)
     return ("enumeration" if exact else "row-window"), lambda M: eval_schur_truncated(vt, M, exact)
 
 
@@ -387,7 +392,7 @@ def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
 
     The shape picks the route, reported as the result's path: the chain
     determinant for straight content-parametrized tableaux, the anti-hook
-    sum for reversed hooks, else the sum by definition (enumeration in
+    expansion for reversed hooks, else the sum by definition (enumeration in
     exact mode, the row window in floating mode).
     """
     note = ""
@@ -407,55 +412,23 @@ def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
+def _antihook_content(bottom: Sequence[Number], column: Sequence[Number]) -> dict[int, Number]:
+    """z_{-l}..z_k of (k+1)^(l+1) / k^l: the bottom row left to right, then
+    the right column bottom to top."""
+    if len(bottom) < 2 or len(column) < 1:
+        raise ValueError("need at least two bottom values and one column value")
+    return dict(zip(range(-len(column), len(bottom)), [*bottom, *column]))
+
+
+def _antihook_shape(k: int, l: int) -> SkewShape:
+    return SkewShape(Partition((k + 1,) * (l + 1)), Partition((k,) * l))
+
+
 def antihook_tableau(bottom: Sequence[Number], column: Sequence[Number]) -> VariableTableau:
     """The skew shape (k+1)^(l+1) / k^l with the bottom row carrying `bottom`
     left to right and the right column carrying `column` bottom to top."""
-    k = len(bottom) - 1
-    l = len(column)
-    if k < 1 or l < 1:
-        raise ValueError("need at least two bottom values and one column value")
-    outer = Partition((k + 1,) * (l + 1))
-    inner = Partition((k,) * l)
-    cells: dict[tuple[int, int], Number] = {}
-    for r in range(1, l + 1):
-        cells[(r, k + 1)] = column[l - r]
-    for j in range(1, k + 2):
-        cells[(l + 1, j)] = bottom[j - 1]
-    return VariableTableau(SkewShape(outer, inner), cells)
-
-
-def _antihook_terms(bottom: Sequence[Number], column: Sequence[Number]):
-    k = len(bottom) - 1
-    for i in range(k + 1):
-        sign = (-1) ** (k - i)
-        star_args = tuple(bottom[:i])
-        strict_args = tuple(reversed(column)) + tuple(reversed(bottom[i:]))
-        yield sign, star_args, strict_args
-
-
-def _antihook_sides(vt: VariableTableau):
-    """(bottom, column) of a tableau on (k+1)^(l+1) / k^l with k, l >= 1,
-    laid out as antihook_tableau takes them; None for any other shape."""
-    outer, inner = vt.shape.outer.parts, vt.shape.inner.parts
-    l = len(inner)
-    if l == 0 or len(outer) != l + 1:
-        return None
-    k = inner[0]
-    if set(outer) != {k + 1} or set(inner) != {k}:
-        return None
-    bottom = [vt.value(l + 1, j) for j in range(1, k + 2)]
-    column = [vt.value(r, k + 1) for r in range(l, 0, -1)]
-    return bottom, column
-
-
-def _antihook_sum(bottom: Sequence[Number], column: Sequence[Number], M: int, exact: bool) -> Number:
-    total = Fraction(0) if exact else 0.0
-    for sign, star_args, strict_args in _antihook_terms(bottom, column):
-        term = sign * eval_ez_truncated(strict_args, M, exact=exact)
-        if star_args:
-            term *= eval_ez_truncated(star_args, M, star=True, exact=exact)
-        total += term
-    return total
+    z = _antihook_content(bottom, column)
+    return VariableTableau.from_content(_antihook_shape(len(bottom) - 1, len(column)), z)
 
 
 def eval_skew_antihook_rhs(
@@ -463,27 +436,5 @@ def eval_skew_antihook_rhs(
 ) -> EvalResult:
     """The alternating sum of zeta-star times zeta products equal to the
     reversed-hook skew sum; the empty star factor counts as 1."""
-    if len(bottom) < 2 or len(column) < 1:
-        raise ValueError("need at least two bottom values and one column value")
-    exact, note = _arithmetic(cfg, (*bottom, *column))
-    if exact:
-        return EvalResult(_antihook_sum(bottom, column, cfg.M, exact=True), None, cfg.M)
-    cfg = replace(cfg, mode="floating")
-    total = 0.0
-    bound = 0.0
-    for sign, star_args, strict_args in _antihook_terms(bottom, column):
-        factors = []
-        for args, star in ((star_args, True), (strict_args, False)):
-            if not args:
-                continue
-            try:
-                factors.append(eval_ez(args, cfg, star=star))
-            except ConvergenceError as err:
-                name = ("zeta-star" if star else "zeta") + str(tuple(args))
-                raise ConvergenceError(f"factor {name}: {err}") from None
-        term, term_bound = _product(factors)
-        total = total + sign * term
-        bound += term_bound
-    if isinstance(total, complex) and total.imag == 0:
-        total = total.real
-    return EvalResult(total, bound, cfg.M, note=note)
+    z = _antihook_content(bottom, column)
+    return evaluate_expr(expand_antihook(len(bottom) - 1, len(column)), z, cfg)

@@ -11,6 +11,7 @@ from schurzeta.expressions import (
     ZetaSymbol,
     eval_thm42,
     evaluate_expr,
+    expand_antihook,
     expand_giambelli,
     expand_giambelli_terms,
     expand_grid_determinant,
@@ -64,6 +65,25 @@ def test_expand_hook_examples():
         expand_hook(-1, 0)
     with pytest.raises(ValueError):
         expand_hook(0, 0, "hook3")
+
+
+@pytest.mark.parametrize(
+    "k,l,plain",
+    [
+        (1, 1, "-zeta(z1,z0,z-1) + zeta*(z-1)*zeta(z1,z0)"),
+        (2, 1, "zeta(z2,z1,z0,z-1) - zeta*(z-1)*zeta(z2,z1,z0) + zeta*(z-1,z0)*zeta(z2,z1)"),
+        (2, 2, "zeta(z2,z1,z0,z-1,z-2) - zeta*(z-2)*zeta(z2,z1,z0,z-1) + zeta*(z-2,z-1)*zeta(z2,z1,z0)"),
+    ],
+)
+def test_expand_antihook_examples(k, l, plain):
+    assert expand_antihook(k, l).plain() == plain
+
+
+def test_expand_antihook_validation():
+    with pytest.raises(ValueError):
+        expand_antihook(0, 1)
+    with pytest.raises(ValueError):
+        expand_antihook(1, 0)
 
 
 def test_giambelli_grid():
@@ -219,6 +239,16 @@ def test_evaluate_expr_convergence_error():
     e = FormalExpr((term(1, ("strict", [2, 1])),))
     with pytest.raises(ConvergenceError, match="strict"):
         evaluate_expr(e, {1: 1, 2: 2}, TruncationConfig(M=10))
+
+
+def test_convergence_error_names_the_factor_and_its_values():
+    z = {-1: 1, 0: 1, 1: 1}
+    msg = r"^factor strict zeta\(z1,z0,z-1\) = zeta\(1, 1, 1\) diverges$"
+    with pytest.raises(ConvergenceError, match=msg):
+        evaluate_expr(expand_antihook(1, 1), z, TruncationConfig(M=10))
+    e = FormalExpr((term(1, ("star", [0, 1])),))
+    with pytest.raises(ConvergenceError, match=r"^factor star zeta\*\(z0,z1\) = zeta\*\(2, 1\) diverges$"):
+        evaluate_expr(e, {0: 2, 1: 1}, TruncationConfig(M=10))
 
 
 def test_evaluate_expr_exact_fallback_note():

@@ -298,6 +298,12 @@ def test_grid_sum_pinned_cases(args, M, d, x):
     assert abs(value - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("s", [2.5, -1, Fraction(1, 2)])
+def test_box_sum_refuses_an_exponent_it_cannot_sum_exactly(s):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        _box_sum(RootZetaArgs(1, {(1, 2): s}), 5, 0, None)
+
+
 def test_grid_sum_of_a_free_last_index():
     value = _grid_sum(RootZetaArgs(2, {(1, 2): 2}), 7, 0, None)
     assert value == pytest.approx(7 * float(eval_ez_truncated([2], 7, exact=True)), rel=1e-14)

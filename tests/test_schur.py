@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schurzeta.mzv import ConvergenceError, TruncationConfig, eval_ez_truncated
+from schurzeta.expressions import expand_antihook, truncated_value
+from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import Partition, SkewShape, enumerate_ssyt
 from schurzeta.schur import (
     VariableTableau,
-    _antihook_sum,
     _route,
     _sum_by_enumeration,
     _sum_by_recurrence,
@@ -192,6 +192,19 @@ def test_antihook_layout():
     assert vt.value(2, 3) == 40 and vt.value(1, 3) == 50
 
 
+def test_antihook_tableau_is_the_content_tableau_of_its_layout():
+    for k in (1, 2, 3):
+        for l in (1, 2, 3):
+            bottom, column = list(range(10, 11 + k)), list(range(20, 20 + l))
+            vt = antihook_tableau(bottom, column)
+            shape = SkewShape(Partition((k + 1,) * (l + 1)), Partition((k,) * l))
+            z = dict(zip(range(-l, k + 1), [*bottom, *column]))
+            assert vt == VariableTableau.from_content(shape, z)
+            cells = {(l + 1, j): bottom[j - 1] for j in range(1, k + 2)}
+            cells.update({(r, k + 1): column[l - r] for r in range(1, l + 1)})
+            assert vt == VariableTableau(shape, cells)
+
+
 def test_antihook_rhs_expansion_k1_l1():
     # RHS = -zeta(s11, s10, s00) + zeta*(s00) zeta(s11, s10)
     s00, s10, s11 = 2, 3, 4
@@ -279,6 +292,14 @@ def reversed_hooks(draw, values):
     k = draw(st.integers(min_value=1, max_value=3))
     l = draw(st.integers(min_value=1, max_value=3))
     return antihook_tableau([draw(values) for _ in range(k + 1)], [draw(values) for _ in range(l)])
+
+
+@given(reversed_hooks(INTS), st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_antihook_expansion_equals_enumeration_exactly(vt, M):
+    k, l = vt.shape.inner[0], len(vt.shape.inner)
+    z = ContentAssignment({j - i: v for (i, j), v in vt.cell_values.items()})
+    assert truncated_value(expand_antihook(k, l), z, M, exact=True) == _sum_by_enumeration(vt, M)
 
 
 def _closed_form_path(vt):
@@ -463,6 +484,12 @@ def test_row_window_equals_enumeration(vt, M):
     assert window == pytest.approx(float(_sum_by_enumeration(vt, M)), rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("values", [[2.5], [2.5, 1.5, 3.0], [2.0, 2.5 + 1j]])
+def test_a_wholly_free_row_is_one_truncated_zeta_star(values):
+    vt = VariableTableau.from_cells(Partition((len(values),)), {(1, j): v for j, v in enumerate(values, 1)})
+    assert _sum_by_recurrence(vt, 500) == eval_ez_truncated(values, 500, star=True, exact=False)
+
+
 def test_reversed_hook_row_window_is_linear_in_M():
     # the bottom row's free cells fold into one prefix chain, so the state
     # stays a vector of M entries: 160 kB here, where an M x M state would
@@ -475,4 +502,5 @@ def test_reversed_hook_row_window_is_linear_in_M():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert window == pytest.approx(_antihook_sum(bottom, column, 20000, exact=False), rel=1e-12)
+    rhs = eval_skew_antihook_rhs(bottom, column, TruncationConfig(M=20000))
+    assert window == pytest.approx(rhs.value, rel=1e-12)
