@@ -40,7 +40,6 @@ from .schur import (
     check_W_lambda,
     eval_schur,
     eval_schur_truncated,
-    eval_skew_antihook_rhs,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "eval_root_zeta",
     "eval_schur",
     "eval_schur_truncated",
-    "eval_skew_antihook_rhs",
     "eval_thm42",
     "evaluate_expr",
     "expand_antihook",

@@ -16,18 +16,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Number
 
 from .expressions import (
     FormalExpr,
-    _check_thm42_domain,
-    evaluate_expr,
+    expand_antihook,
     expand_giambelli,
     expand_giambelli_terms,
     expand_hook,
     giambelli_det_expr,
+    truncated_value,
 )
 from .mzv import (
     ContentAssignment,
@@ -42,11 +42,11 @@ from .partitions import Partition, SkewShape
 from .rootzeta import RootZetaArgs, _det, chain_determinant, eval_root_zeta
 from .schur import (
     VariableTableau,
+    _antihook_content,
     _refuse_outside_W_lambda,
     antihook_tableau,
     eval_schur,
     eval_schur_truncated,
-    eval_skew_antihook_rhs,
 )
 
 SCHEMA_VERSION = 1
@@ -344,13 +344,18 @@ def _giambelli_matrix_value(lam: Partition, content: ContentAssignment, M: int, 
 
 def _run_verify(spec: JobSpec) -> dict:
     """Both sides truncated at the same M, where every identity holds
-    exactly: the Schur side summed over tableaux, the other side by the
-    identity's closed form, in one arithmetic."""
+    exactly, in the one arithmetic _arithmetic picks: the Schur side summed
+    over tableaux, the other side by truncated_value over the identity's
+    expansion (hooks, Thm 4.1, anti-hook), as the determinant of hook sums
+    (Giambelli) or as the chain determinant (Thm 4.2). Floating sides stand
+    for series, so floating mode refuses exponents outside W_lambda, and only
+    there: a factor whose own series diverges is still a finite truncated sum."""
     params = spec.params
     identity = _require(params, "identity", "verify")
     if identity not in VERIFY_IDENTITIES:
         raise UsageError(f"identity must be one of {', '.join(VERIFY_IDENTITIES)}")
     content = ContentAssignment(_parse_content(params.get("content") or {}))
+    expr = None
     if identity in ("hook1", "hook2"):
         p = int(_require(params, "p", "verify"))
         q = int(_require(params, "q", "verify"))
@@ -360,6 +365,8 @@ def _run_verify(spec: JobSpec) -> dict:
         bottom = [_parse_value(v, "bottom") for v in _require(params, "bottom", "verify")]
         column = [_parse_value(v, "column") for v in _require(params, "column", "verify")]
         vt = antihook_tableau(bottom, column)
+        content = ContentAssignment(_antihook_content(bottom, column))
+        expr = expand_antihook(len(bottom) - 1, len(column))
     else:
         lam = _parse_partition(_require(params, "shape", "verify"))
         vt = VariableTableau.from_content(lam, content)
@@ -367,19 +374,16 @@ def _run_verify(spec: JobSpec) -> dict:
             expr = expand_giambelli(lam, "standard" if identity == "thm41" else "reversed")
 
     exact, _ = _arithmetic(spec.cfg, vt.cell_values.values())
-    cfg = replace(spec.cfg, mode="exact" if exact else "floating")
-    if not exact:  # floating sides stand for series, which converge only there
+    if not exact:
         _refuse_outside_W_lambda(vt)
-    if identity == "antihook":
-        rhs = eval_skew_antihook_rhs(bottom, column, cfg).value
+    M = spec.cfg.M
+    if expr is not None:
+        rhs = truncated_value(expr, content, M, exact)
     elif identity == "giambelli":
-        rhs = _giambelli_matrix_value(lam, content, cfg.M, exact)
-    elif identity == "thm42":
-        _check_thm42_domain(lam, content)
-        rhs = chain_determinant(lam.frobenius(), content, cfg.M, exact)
+        rhs = _giambelli_matrix_value(lam, content, M, exact)
     else:
-        rhs = evaluate_expr(expr, content, cfg).value
-    lhs = eval_schur_truncated(vt, cfg.M, exact)
+        rhs = chain_determinant(lam.frobenius(), content, M, exact)
+    lhs = eval_schur_truncated(vt, M, exact)
 
     if exact:
         difference, threshold, equal = lhs - rhs, 0.0, lhs == rhs
@@ -387,7 +391,7 @@ def _run_verify(spec: JobSpec) -> dict:
         difference = complex(lhs) - complex(rhs)
         if difference.imag == 0:
             difference = difference.real
-        threshold = cfg.tolerance
+        threshold = spec.cfg.tolerance
         equal = abs(difference) <= threshold
     return {
         "results": {

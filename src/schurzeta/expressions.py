@@ -412,21 +412,6 @@ def evaluate_expr(
     return EvalResult(value, bound, cfg.M, note=note)
 
 
-def _check_thm42_domain(lam: Partition, assignment: ContentAssignment) -> None:
-    """Refuse a Thm 4.2 series that diverges: Re(z_0) <= 1 on the diagonal,
-    or an arm chain z_1..z_p or leg chain z_-1..z_-q outside the
-    Euler-Zagier domain."""
-    f = lam.frobenius()
-    if not complex(assignment[0]).real > 1:
-        raise ConvergenceError("need Re(z_0) > 1 for the diagonal sum")
-    for pk in set(f.p):
-        if not check_ez_domain(assignment.sequence(range(1, pk + 1)), star=True):
-            raise ConvergenceError(f"arm chain z_1..z_{pk} diverges")
-    for qj in set(f.q):
-        if not check_ez_domain(assignment.sequence(range(-1, -qj - 1, -1))):
-            raise ConvergenceError(f"leg chain z_-1..z_-{qj} diverges")
-
-
 def eval_thm42(
     lam: Partition, assignment: ContentAssignment | Mapping[int, Number], M: int
 ) -> EvalResult:
@@ -441,8 +426,17 @@ def eval_thm42(
         assignment = ContentAssignment(assignment)
     if M < 1:
         raise ValueError("M must be >= 1")
-    _check_thm42_domain(lam, assignment)
     f = lam.frobenius()
+    # the series diverges at Re(z_0) <= 1 on the diagonal, or when an arm
+    # chain z_1..z_p or leg chain z_-1..z_-q lies outside the EZ domain
+    if not complex(assignment[0]).real > 1:
+        raise ConvergenceError("need Re(z_0) > 1 for the diagonal sum")
+    for pk in set(f.p):
+        if not check_ez_domain(assignment.sequence(range(1, pk + 1))):
+            raise ConvergenceError(f"arm chain z_1..z_{pk} diverges")
+    for qj in set(f.q):
+        if not check_ez_domain(assignment.sequence(range(-1, -qj - 1, -1))):
+            raise ConvergenceError(f"leg chain z_-1..z_-{qj} diverges")
     # picks its own arithmetic, unlike the helpers, as bench/check.py's reference
     # z_0 and the longest arm and leg chains: every exponent the series uses
     exact = all(exact_exponent(assignment[k]) is not None for k in range(-f.q[0], f.p[0] + 1))

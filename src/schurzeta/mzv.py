@@ -159,9 +159,6 @@ class ContentAssignment:
     def sequence(self, indices: Sequence[int]) -> tuple[Number, ...]:
         return tuple(self[k] for k in indices)
 
-    def is_exact(self) -> bool:
-        return all(exact_exponent(v) is not None for v in self.values.values())
-
     def to_json(self) -> dict:
         return {str(k): value_to_json(v) for k, v in sorted(self.values.items())}
 
@@ -177,12 +174,9 @@ class ContentAssignment:
         return cls(vals)
 
 
-def check_ez_domain(s: Sequence[Number], star: bool = False) -> bool:
-    """Whether the series converges: every suffix of length i has real part sum > i.
-
-    The domain is the same for the strict and the star variant; the flag is
-    accepted so call sites can stay symmetric.
-    """
+def check_ez_domain(s: Sequence[Number]) -> bool:
+    """Whether the series converges, strict or star alike: every suffix of
+    length i has real part sum > i."""
     s = tuple(s)
     if not s:
         return True
@@ -313,7 +307,7 @@ def eval_ez(s: Sequence[Number], cfg: TruncationConfig, star: bool = False) -> E
     s = tuple(s)
     if not s:
         raise ValueError("empty exponent sequence")
-    if not check_ez_domain(s, star):
+    if not check_ez_domain(s):
         raise ConvergenceError(
             f"exponents {s} violate the convergence condition (suffix sums must exceed the depth)"
         )

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expressions import evaluate_expr, expand_antihook, truncated_value
+from .expressions import expand_antihook, truncated_value
 from .mzv import (
     ConvergenceError,
     ContentAssignment,
@@ -430,11 +430,3 @@ def antihook_tableau(bottom: Sequence[Number], column: Sequence[Number]) -> Vari
     z = _antihook_content(bottom, column)
     return VariableTableau.from_content(_antihook_shape(len(bottom) - 1, len(column)), z)
 
-
-def eval_skew_antihook_rhs(
-    bottom: Sequence[Number], column: Sequence[Number], cfg: TruncationConfig
-) -> EvalResult:
-    """The alternating sum of zeta-star times zeta products equal to the
-    reversed-hook skew sum; the empty star factor counts as 1."""
-    z = _antihook_content(bottom, column)
-    return evaluate_expr(expand_antihook(len(bottom) - 1, len(column)), z, cfg)

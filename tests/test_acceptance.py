@@ -13,6 +13,7 @@ from itertools import combinations
 from schurzeta.expressions import (
     eval_thm42,
     evaluate_expr,
+    expand_antihook,
     expand_giambelli,
     expand_grid_determinant,
     expand_hook,
@@ -23,10 +24,10 @@ from schurzeta.partitions import FrobeniusForm, Partition, enumerate_ssyt
 from schurzeta.rootzeta import RootZetaArgs, canonical_pairs, eval_root_zeta
 from schurzeta.schur import (
     VariableTableau,
+    _antihook_content,
     antihook_tableau,
     eval_schur,
     eval_schur_truncated,
-    eval_skew_antihook_rhs,
 )
 
 
@@ -78,11 +79,10 @@ def test_criterion_2_antihook_exact():
                 bottom = [rng.choice([1, 2, 3]) for _ in range(k + 1)]
                 column = [rng.choice([1, 2, 3]) for _ in range(l)]
                 vt = antihook_tableau(bottom, column)
+                expr, z = expand_antihook(k, l), _antihook_content(bottom, column)
                 for M in (4, 6):
                     lhs = brute_force_skew(vt, M)
-                    rhs = eval_skew_antihook_rhs(
-                        bottom, column, TruncationConfig(M=M, mode="exact")
-                    ).value
+                    rhs = evaluate_expr(expr, z, TruncationConfig(M=M, mode="exact")).value
                     if lhs != rhs:
                         failures.append((k, l, M, bottom, column))
     _report(2, "anti-hook identity exact at truncation", failures)

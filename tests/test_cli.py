@@ -247,6 +247,29 @@ def test_verify_refuses_outside_the_region_when_floating(mode, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["antihook", "--bottom", "1,2", "--column", "2", "--M", "200"],
+        ["thm42", "--shape", "2,1", "--content", "0=1,1=2,-1=2", "--M", "6", "--exact"],
+        ["thm42", "--shape", "2,2", "--content", "0=3,1=2,-1=1", "--M", "200"],
+    ],
+    ids=["antihook-divergent-factor", "thm42-exact-z0-is-1", "thm42-divergent-leg-in-region"],
+)
+def test_verify_does_not_refuse_a_factor_whose_series_diverges(argv, capsys):
+    # both sides are finite truncated sums; the anti-hook factor zeta(2, 2, 1),
+    # the diagonal sum at z_0 = 1 and the leg chain zeta(1) diverge as series,
+    # but exact mode sums no series and the floating inputs lie inside W_lambda
+    assert cli.main(["verify", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_verify_thm42_floating_refuses_by_the_region_rule(capsys):
+    argv = ["verify", "thm42", "--shape", "2,2", "--content", "0=1,1=2,-1=2", "--M", "20"]
+    assert cli.main(argv) == 1
+    assert "convergence region" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_verify_threshold_is_the_tolerance(capsys):
     argv = ["verify", "thm41", "--shape", "3,2,1", "--content", "0=3,1=2,2=2,-1=2,-2=2",
             "--M", "300", "--tolerance", "1e-9"]
@@ -271,11 +294,15 @@ def _scaled(fn, attr=None):
     "argv,patch",
     [
         (["verify", "hook1", "--p", "1", "--q", "1", "--content", "0=2,1=2,-1=2"],
-         ("evaluate_expr", "value")),
+         ("truncated_value", None)),
+        (["verify", "antihook", "--bottom", "2,2", "--column", "3"],
+         ("truncated_value", None)),
+        (["verify", "giambelli", "--shape", "2,2", "--content", "0=3,1=2,-1=2"],
+         ("_giambelli_matrix_value", None)),
         (["verify", "thm42", "--shape", "2,2", "--content", "0=3,1=2,-1=2"],
          ("chain_determinant", None)),
     ],
-    ids=["hook1", "thm42"],
+    ids=["hook1", "antihook", "giambelli", "thm42"],
 )
 def test_verify_catches_a_side_off_by_one_part_in_a_million(argv, patch, monkeypatch, capsys):
     name, attr = patch

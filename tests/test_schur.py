@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schurzeta.expressions import expand_antihook, truncated_value
+from schurzeta.expressions import evaluate_expr, expand_antihook, truncated_value
 from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import Partition, SkewShape, enumerate_ssyt
 from schurzeta.schur import (
     VariableTableau,
+    _antihook_content,
     _route,
     _sum_by_enumeration,
     _sum_by_recurrence,
@@ -18,7 +19,6 @@ from schurzeta.schur import (
     check_W_lambda,
     eval_schur,
     eval_schur_truncated,
-    eval_skew_antihook_rhs,
 )
 
 
@@ -183,6 +183,13 @@ def test_eval_schur_skew_note():
 # --- reversed-hook (antihook) identity ---
 
 
+def antihook_rhs(bottom, column, cfg):
+    """The anti-hook expansion over the content of the reversed hook with
+    this bottom row and right column."""
+    z = _antihook_content(bottom, column)
+    return evaluate_expr(expand_antihook(len(bottom) - 1, len(column)), z, cfg)
+
+
 def test_antihook_layout():
     vt = antihook_tableau([10, 20, 30], [40, 50])
     # bottom row (s00, s10, s20), right column (s21, s22) bottom to top
@@ -209,7 +216,7 @@ def test_antihook_rhs_expansion_k1_l1():
     # RHS = -zeta(s11, s10, s00) + zeta*(s00) zeta(s11, s10)
     s00, s10, s11 = 2, 3, 4
     cfg = TruncationConfig(M=7, mode="exact")
-    res = eval_skew_antihook_rhs([s00, s10], [s11], cfg)
+    res = antihook_rhs([s00, s10], [s11], cfg)
     expected = -eval_ez_truncated([s11, s10, s00], 7, exact=True) + eval_ez_truncated(
         [s00], 7, star=True, exact=True
     ) * eval_ez_truncated([s11, s10], 7, exact=True)
@@ -217,8 +224,8 @@ def test_antihook_rhs_expansion_k1_l1():
 
 
 def test_antihook_rhs_fallback_sums_every_factor_in_floats():
-    exact = eval_skew_antihook_rhs([2, 2.5], [2], TruncationConfig(M=50, mode="exact"))
-    floating = eval_skew_antihook_rhs([2, 2.5], [2], TruncationConfig(M=50))
+    exact = antihook_rhs([2, 2.5], [2], TruncationConfig(M=50, mode="exact"))
+    floating = antihook_rhs([2, 2.5], [2], TruncationConfig(M=50))
     assert "fell back" in exact.note
     assert (exact.value, exact.tail_bound) == (floating.value, floating.tail_bound)
 
@@ -232,7 +239,7 @@ def test_antihook_exact_matches_brute_force():
             vt = antihook_tableau(bottom, column)
             for M in (2, 5, 8):
                 lhs = brute_force_schur(vt, M)
-                rhs = eval_skew_antihook_rhs(bottom, column, TruncationConfig(M=M, mode="exact"))
+                rhs = antihook_rhs(bottom, column, TruncationConfig(M=M, mode="exact"))
                 assert lhs == rhs.value
 
 
@@ -240,26 +247,26 @@ def test_antihook_truncation_one_is_zero():
     # a column of two cells cannot be filled with entries <= 1
     vt = antihook_tableau([2, 2], [2])
     assert eval_schur_truncated(vt, 1, exact=True) == 0
-    rhs = eval_skew_antihook_rhs([2, 2], [2], TruncationConfig(M=1, mode="exact"))
+    rhs = antihook_rhs([2, 2], [2], TruncationConfig(M=1, mode="exact"))
     assert rhs.value == 0
 
 
 def test_antihook_float_with_bounds():
     cfg = TruncationConfig(M=400)
-    res = eval_skew_antihook_rhs([2, 2], [3], cfg)
-    exact = eval_skew_antihook_rhs([2, 2], [3], TruncationConfig(M=400, mode="exact"))
+    res = antihook_rhs([2, 2], [3], cfg)
+    exact = antihook_rhs([2, 2], [3], TruncationConfig(M=400, mode="exact"))
     assert res.value == pytest.approx(float(exact.value), rel=1e-12)
     assert res.tail_bound > 0
 
 
 def test_antihook_convergence_error_names_factor():
     with pytest.raises(ConvergenceError, match="zeta"):
-        eval_skew_antihook_rhs([1, 1], [1], TruncationConfig(M=10))
+        antihook_rhs([1, 1], [1], TruncationConfig(M=10))
 
 
 def test_antihook_input_validation():
     with pytest.raises(ValueError):
-        eval_skew_antihook_rhs([2], [2], TruncationConfig(M=5))
+        antihook_tableau([2], [2])
     with pytest.raises(ValueError):
         antihook_tableau([2, 2], [])
 
@@ -431,7 +438,7 @@ def test_closed_forms_keep_the_convergence_gate():
     # inside the region, although the anti-hook factor zeta(2, 2, 1) diverges
     cfg = TruncationConfig(M=200)
     with pytest.raises(ConvergenceError, match="factor"):
-        eval_skew_antihook_rhs([1, 2], [2], cfg)
+        antihook_rhs([1, 2], [2], cfg)
     vt = antihook_tableau([1, 2], [2])
     res = eval_schur(vt, cfg)
     assert res.path == "antihook"
@@ -502,5 +509,5 @@ def test_reversed_hook_row_window_is_linear_in_M():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    rhs = eval_skew_antihook_rhs(bottom, column, TruncationConfig(M=20000))
+    rhs = antihook_rhs(bottom, column, TruncationConfig(M=20000))
     assert window == pytest.approx(rhs.value, rel=1e-12)
