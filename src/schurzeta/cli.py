@@ -373,7 +373,7 @@ def _run_verify(spec: JobSpec) -> dict:
         if identity in ("thm41", "thm41-reversed"):
             expr = expand_giambelli(lam, "standard" if identity == "thm41" else "reversed")
 
-    exact, _ = _arithmetic(spec.cfg, vt.cell_values.values())
+    exact, note = _arithmetic(spec.cfg, vt.cell_values.values())
     if not exact:
         _refuse_outside_W_lambda(vt)
     M = spec.cfg.M
@@ -393,18 +393,18 @@ def _run_verify(spec: JobSpec) -> dict:
             difference = difference.real
         threshold = spec.cfg.tolerance
         equal = abs(difference) <= threshold
-    return {
-        "results": {
-            "identity": identity,
-            "lhs": value_to_json(lhs),
-            "rhs": value_to_json(rhs),
-            "difference": value_to_json(difference),
-            "comparison": "exact" if exact else "tolerance",
-            "threshold": threshold,
-            "equal": bool(equal),
-        },
-        "verified": bool(equal),
+    results = {
+        "identity": identity,
+        "lhs": value_to_json(lhs),
+        "rhs": value_to_json(rhs),
+        "difference": value_to_json(difference),
+        "comparison": "exact" if exact else "tolerance",
+        "threshold": threshold,
+        "equal": bool(equal),
     }
+    if note:
+        results["note"] = note
+    return {"results": results, "verified": bool(equal)}
 
 
 _RUNNERS = {

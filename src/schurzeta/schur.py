@@ -1,14 +1,12 @@
 """(Skew) Schur multiple zeta-functions.
 
 The sum runs over semi-standard fillings of the shape with every entry at
-most M, weighting a filling by prod m_ij^(-s_ij). By definition, exact mode
-enumerates fillings and floating mode uses a row-window recurrence (below)
-whose cost is M ** w, w at most one more than the sum of a row's overlaps
-with the rows above and below; a reversed hook costs O(M) per cell.
-Exact enumeration sums integer numerators over lcm(1..M)^k, k the sum of
-the exponents, and builds one Fraction at the end; the last cell's values
-are summed at once, so its cost is about the number of fillings of the
-shape minus its last cell.
+most M, weighting a filling by prod m_ij^(-s_ij). By definition it is a
+row-window recurrence (below) in either arithmetic, whose cost is M ** w, w
+at most one more than the sum of a row's overlaps with the rows above and
+below; a reversed hook costs O(M) per cell. Exact mode runs it on integer
+numerators over lcm(1..M)^k, k the sum of the exponents, and builds one
+Fraction at the end.
 
 eval_schur takes a closed form of the truncated sum where the shape has
 one, as both hold exactly at every M: the Thm 4.2 chain determinant for
@@ -22,9 +20,9 @@ over the tableau's content assignment like any other expression.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,6 +35,7 @@ from .mzv import (
     Number,
     TruncationConfig,
     _arithmetic,
+    _chain_numerators,
     _doubling_result,
     _ez_terms,
     _pow_vector,
@@ -131,62 +130,7 @@ def _refuse_outside_W_lambda(vt: VariableTableau) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact path: depth-first enumeration on integer numerators
-#
-# A filling's weight prod m_c^(-e_c) is the integer prod w_(e_c)[m_c] over
-# L^K, with w_e[m] = L^e / m^e, L = lcm(1..M) and K the sum of the exponents.
-# The last cell in fill order has no cell below it, so its upper bound is M
-# and its values are summed at once from a suffix table of its weights.
-# ---------------------------------------------------------------------------
-
-
-def _sum_by_enumeration(vt: VariableTableau, M: int) -> Fraction:
-    shape = vt.shape
-    cells = shape.cells()
-    if not cells:
-        return Fraction(1)
-    expo = [exact_exponent(vt.cell_values[c]) for c in cells]
-    if None in expo:
-        raise ValueError("exact evaluation needs non-negative integer exponents")
-    L = math.lcm(*range(1, M + 1))
-    weights = {}
-    for e in set(expo):
-        Le = L**e
-        weights[e] = [0] + [Le // m**e for m in range(1, M + 1)]
-    n = len(cells)
-    # per cell: the positions of its left and upper neighbours in `vals`, the
-    # largest value that leaves room for the cells below it, and its weights;
-    # a missing neighbour points at a sentinel, 1 on the left, 0 above
-    position = {c: k for k, c in enumerate(cells)}
-    plan = [
-        (
-            position.get((i, j - 1), n),
-            position.get((i - 1, j), n + 1),
-            M - sum(1 for r in range(i + 1, shape.n_rows + 1) if shape.contains(r, j)),
-            weights[e],
-        )
-        for (i, j), e in zip(cells, expo)
-    ]
-    tail = list(accumulate(reversed(weights[expo[-1]])))[::-1] + [0]  # tail[v] = w[v] + ... + w[M]
-    vals = [0] * n + [1, 0]
-    last = n - 1
-
-    def fill(k: int) -> int:
-        left, up, hi, w = plan[k]
-        lo = max(vals[left], vals[up] + 1)
-        if k == last:
-            return tail[lo]
-        total = 0
-        for v in range(lo, hi + 1):
-            vals[k] = v
-            total += w[v] * fill(k + 1)
-        return total
-
-    return Fraction(fill(0), L ** sum(expo))
-
-
-# ---------------------------------------------------------------------------
-# floating path: row-window recurrence
+# the sum by definition: row-window recurrence
 #
 # Rows are processed top to bottom. The state is a joint array with one axis
 # per placed cell that a later cell still compares with: the cells of the row
@@ -198,20 +142,27 @@ def _sum_by_enumeration(vt: VariableTableau, M: int) -> Fraction:
 # cell, at the left end into a weak prefix chain in the weight of the first
 # placed cell, and a row of such cells into one scalar, its truncated
 # zeta-star value. Both chains and that value come from one recurrence, the
-# Euler-Zagier star recurrence mzv._ez_terms, run over 1..M for the prefix
-# and the scalar and over M..1 (rootzeta.shifted_chain_table) for the
-# suffix. So the state holds M ** w entries, w at most one more than
-# the sum of the row's overlaps with its neighbours, and a reversed hook,
-# whose bottom row's free cells fold into one prefix chain, stays at M.
+# Euler-Zagier star recurrence (mzv._ez_terms in floating point,
+# mzv._chain_numerators in exact mode), run over 1..M for the prefix and the
+# scalar and over M..1 for the suffix. So the state holds M ** w entries, w
+# at most one more than the sum of the row's overlaps with its neighbours,
+# and a reversed hook, whose bottom row's free cells fold into one prefix
+# chain, stays at M.
+#
+# In exact mode the state is a numpy object array of Python ints, each a
+# numerator over L^K, L = lcm(1..M) and K the sum of the exponents: a cell
+# with exponent e weighs L^e // m^e, and one Fraction is built at the end.
 # ---------------------------------------------------------------------------
 
 
 class _RowWindow:
-    """State array plus the labels of its live axes."""
+    """State array plus the labels of its live axes. A state of more than
+    max_elems entries is refused before it is built."""
 
-    def __init__(self, M: int, dtype):
+    def __init__(self, M: int, dtype, max_elems: int):
         self.M = M
         self.dtype = dtype
+        self.max_elems = max_elems
         self.state = np.ones((), dtype=dtype)
         self.live: list[tuple[str, int]] = []
 
@@ -228,10 +179,8 @@ class _RowWindow:
         M, state = self.M, self.state
         # the consumed axes collapse into the new one, the others stay
         n_consumed = (consume_strict is not None) + (consume_weak is not None)
-        if state.size // M**n_consumed * M > 2**28:
-            raise ValueError(
-                "row-window state too large; lower M or use exact enumeration for this shape"
-            )
+        if state.size // M**n_consumed * M > self.max_elems:
+            raise ValueError("row-window state too large for this shape; lower M")
         consumed = []
         for lab, strict in ((consume_strict, True), (consume_weak, False)):
             if lab is None:
@@ -265,6 +214,10 @@ class _RowWindow:
             state = state * (m >= u)
         self.state = state * weight
 
+    def scale(self, factor):
+        # a 0-d object product is a bare int: keep an array
+        self.state = np.asarray(self.state * factor, dtype=self.dtype)
+
     def scale_axis(self, label, vec: np.ndarray):
         t = self._axis(label)
         shape = [1] * self.state.ndim
@@ -273,21 +226,59 @@ class _RowWindow:
 
     def drop(self, label):
         t = self._axis(label)
-        self.state = self.state.sum(axis=t)
+        # an object reduction to 0-d is a bare int: keep an array
+        self.state = np.asarray(self.state.sum(axis=t), dtype=self.dtype)
         self.live.pop(t)
 
     def total(self):
         return self.state.sum()
 
 
-def _sum_by_recurrence(vt: VariableTableau, M: int):
+def _sum_by_recurrence(vt: VariableTableau, M: int, exact: bool) -> Number:
+    """The row loop, shared by both arithmetics; the arithmetic picks the
+    cell weights, the two folded chains and a wholly free row's value."""
     shape = vt.shape
-    if not shape.cells():
-        return 1.0
-    dtype = complex if any(
-        isinstance(v, complex) and v.imag for v in vt.cell_values.values()
-    ) else float
-    win = _RowWindow(M, dtype)
+    if exact:
+        value = {c: exact_exponent(v) for c, v in vt.cell_values.items()}
+        if None in value.values():
+            raise ValueError("exact evaluation needs non-negative integer exponents")
+        L = math.lcm(*range(1, M + 1))
+        D = L ** sum(value.values())
+        # an entry is a pointer to a numerator of about D's size; refuse a
+        # state above the 2 GiB that floating mode allows
+        win = _RowWindow(M, object, 2**31 // (8 + sys.getsizeof(D)))
+        weight = {e: np.array([L**e // m**e for m in range(1, M + 1)], dtype=object)
+                  for e in set(value.values())}.__getitem__
+
+        def chain(svals, bases):
+            return np.array(list(_chain_numerators(svals, bases, True, L)), dtype=object)
+
+        def prefix_chain(svals):
+            return chain(svals, range(1, M + 1))
+
+        def suffix_chain(svals):
+            return chain(svals[::-1], range(M, 0, -1))[::-1]
+
+        def free_row(svals):
+            return prefix_chain(svals)[-1]
+    else:
+        value = vt.cell_values
+        dtype = complex if any(isinstance(v, complex) and v.imag for v in value.values()) else float
+        win = _RowWindow(M, dtype, 2**28)  # 2 GiB of float64
+
+        def weight(s):
+            return _pow_vector(s, M)
+
+        def prefix_chain(svals):
+            terms, _ = _ez_terms(svals, np.arange(1.0, M + 1.0), star=True)
+            return np.cumsum(terms, out=terms)
+
+        def suffix_chain(svals):
+            return shifted_chain_table(svals, M, weak=True, exact=False)[1 : M + 1]
+
+        def free_row(svals):
+            return eval_ez_truncated(svals, M, star=True, exact=False)
+
     spans = [shape.row_span(i) for i in range(1, shape.n_rows + 1)]
     b_prev = 0  # right end of the adjacent nonempty row above
     for i, (a, b) in enumerate(spans, 1):
@@ -314,11 +305,9 @@ def _sum_by_recurrence(vt: VariableTableau, M: int):
         prefix = None
         if a + 1 < c1 < c0:
             # prefix[v - 1] sums the weak chains n_(a+1) <= ... <= n_(c1-1) <= v
-            svals = [vt.value(i, c) for c in range(a + 1, c1)]
-            terms, _ = _ez_terms(svals, np.arange(1.0, M + 1.0), star=True)
-            prefix = np.cumsum(terms, out=terms)
+            prefix = prefix_chain([value[i, c] for c in range(a + 1, c1)])
         for c in range(c1, c0):
-            w = _pow_vector(vt.value(i, c), M)
+            w = weight(value[i, c])
             if c == c1 and prefix is not None:
                 w = w * prefix
             above = ("p", c) if ("p", c) in win.live else None
@@ -334,31 +323,30 @@ def _sum_by_recurrence(vt: VariableTableau, M: int):
                 mask_weak=left if left_needed else None,
             )
         if c0 <= b:
-            svals = [vt.value(i, c) for c in range(c0, b + 1)]
+            svals = [value[i, c] for c in range(c0, b + 1)]
             if c0 == a + 1:
-                win.state = win.state * eval_ez_truncated(svals, M, star=True, exact=False)
+                win.scale(free_row(svals))
             else:
-                chain = shifted_chain_table(svals, M, weak=True, exact=False)[1 : M + 1]
-                win.scale_axis(("u", c0 - 1), chain)
+                win.scale_axis(("u", c0 - 1), suffix_chain(svals))
         for lab in list(win.live):
             kind, c = lab
             if kind == "u" and c > b_next:
                 win.drop(lab)
         b_prev = b
     total = win.total()
-    return complex(total) if dtype is complex else float(total)
+    if exact:
+        return Fraction(total, D)
+    return complex(total) if win.dtype is complex else float(total)
 
 
 def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool) -> Number:
     """Sum over all semi-standard fillings with entries <= M, by definition:
-    enumeration in Fractions when exact (non-negative integer exponents
-    only), else the floating row-window recurrence.
+    the row-window recurrence, on integer numerators giving a Fraction when
+    exact (non-negative integer exponents only), else in floating point.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if exact:
-        return _sum_by_enumeration(vt, M)
-    return _sum_by_recurrence(vt, M)
+    return _sum_by_recurrence(vt, M, exact)
 
 
 def _content_assignment(vt: VariableTableau) -> ContentAssignment | None:
@@ -384,7 +372,7 @@ def _route(vt: VariableTableau, exact: bool):
     if z is not None and shape == _antihook_shape(k, l):
         expr = expand_antihook(k, l)
         return "antihook", lambda M: truncated_value(expr, z, M, exact)
-    return ("enumeration" if exact else "row-window"), lambda M: eval_schur_truncated(vt, M, exact)
+    return "row-window", lambda M: eval_schur_truncated(vt, M, exact)
 
 
 def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
@@ -392,8 +380,8 @@ def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
 
     The shape picks the route, reported as the result's path: the chain
     determinant for straight content-parametrized tableaux, the anti-hook
-    expansion for reversed hooks, else the sum by definition (enumeration in
-    exact mode, the row window in floating mode).
+    expansion for reversed hooks, else the sum by definition, the row
+    window, in either arithmetic.
     """
     note = ""
     if not vt.shape.is_straight():

@@ -235,6 +235,18 @@ def test_verify_giambelli_follows_the_mode(capsys):
         assert "/" in out["rhs"] and out["comparison"] == "exact"
 
 
+def test_verify_reports_the_fallback_note(capsys):
+    argv = ["verify", "thm42", "--shape", "2,2", "--content", "0=2.5,1=2,-1=2", "--M", "50", "--exact"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)["results"]
+    assert out["comparison"] == "tolerance"
+    assert "fell back to floating" in out["note"]
+    # no fallback, no note
+    assert cli.main([*argv[:5], "0=3,1=2,-1=2", "--M", "8", "--exact"]) == 0
+    out = json.loads(capsys.readouterr().out)["results"]
+    assert out["comparison"] == "exact" and "note" not in out
+
+
 @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["floating", "exact-falls-back"])
 def test_verify_refuses_outside_the_region_when_floating(mode, capsys):
     # a non-integer content makes --exact fall back to floating arithmetic,

@@ -13,7 +13,6 @@ from schurzeta.schur import (
     VariableTableau,
     _antihook_content,
     _route,
-    _sum_by_enumeration,
     _sum_by_recurrence,
     antihook_tableau,
     check_W_lambda,
@@ -306,7 +305,7 @@ def reversed_hooks(draw, values):
 def test_antihook_expansion_equals_enumeration_exactly(vt, M):
     k, l = vt.shape.inner[0], len(vt.shape.inner)
     z = ContentAssignment({j - i: v for (i, j), v in vt.cell_values.items()})
-    assert truncated_value(expand_antihook(k, l), z, M, exact=True) == _sum_by_enumeration(vt, M)
+    assert truncated_value(expand_antihook(k, l), z, M, exact=True) == brute_force_schur(vt, M)
 
 
 def _closed_form_path(vt):
@@ -320,7 +319,7 @@ def test_closed_forms_equal_enumeration_exactly(vt, M):
     assert path == _closed_form_path(vt)
     value = truncated(M)
     assert isinstance(value, Fraction)
-    assert value == _sum_by_enumeration(vt, M) == brute_force_schur(vt, M)
+    assert value == eval_schur_truncated(vt, M, exact=True) == brute_force_schur(vt, M)
 
 
 @given(
@@ -340,7 +339,7 @@ def test_closed_forms_match_row_window(vt, M):
     assert abs(value - window) <= 1e-12 * abs(window)
 
 
-# --- exact enumeration on integer numerators against the brute-force oracle ---
+# --- the exact row window on integer numerators against the brute-force oracle ---
 
 
 @st.composite
@@ -356,13 +355,35 @@ def per_cell_tableaux(draw, max_size=8):
     return VariableTableau.from_cells(shape, {c: draw(st.integers(0, 3)) for c in shape.cells()})
 
 
+def _cycled(outer, inner):
+    shape = SkewShape(Partition(outer), Partition(inner))
+    return VariableTableau.from_cells(shape, {c: 1 + k % 3 for k, c in enumerate(shape.cells())})
+
+
+def free_cell_examples(test):
+    """Tableaux whose free cells fold into each of the row window's chains."""
+    # the third row's first cell has nothing above or below it
+    test = example(_cycled((3, 3, 3), (2, 2)), 5)(test)
+    # the second row's one cell has no neighbour: the whole row is one chain
+    test = example(_cycled((4, 3), (3, 2)), 6)(test)
+    # a row has free cells at both ends only when all of it is free, so this
+    # pins free cells at the right end of the first row and the left end of
+    # the second, beside a cell with a neighbour above
+    test = example(_cycled((5, 3), (2,)), 6)(test)
+    # a left run above a wholly free row
+    return example(_cycled((4, 4, 1), (2, 1)), 6)(test)
+
+
 @given(per_cell_tableaux(), st.integers(min_value=1, max_value=6))
 # (3,2,2)/(2,2): the second row is empty
 @example(VariableTableau.from_cells(SkewShape(Partition((3, 2, 2)), Partition((2, 2))),
                                     {(1, 3): 2, (3, 1): 1, (3, 2): 3}), 4)
+@free_cell_examples
 @settings(max_examples=80, deadline=None)
 def test_enumeration_equals_brute_force(vt, M):
-    assert _sum_by_enumeration(vt, M) == brute_force_schur(vt, M)
+    value = eval_schur_truncated(vt, M, exact=True)
+    assert isinstance(value, Fraction)
+    assert value == brute_force_schur(vt, M)
 
 
 @pytest.mark.parametrize(
@@ -373,7 +394,7 @@ def test_enumeration_is_zero_when_a_column_outgrows_M(outer, inner, M):
     # the last cell sits under a column whose lower bound passes M
     shape = SkewShape(Partition(outer), Partition(inner))
     vt = VariableTableau.from_cells(shape, {c: 2 for c in shape.cells()})
-    assert _sum_by_enumeration(vt, M) == 0 == brute_force_schur(vt, M)
+    assert eval_schur_truncated(vt, M, exact=True) == 0 == brute_force_schur(vt, M)
 
 
 @pytest.mark.parametrize("outer,inner", [((1,), ()), ((3,), ()), ((2, 1), (1,)), ((4, 2), (2,))])
@@ -381,20 +402,20 @@ def test_enumeration_at_M_one_has_one_filling(outer, inner):
     # no column holds two cells, so the only filling is all ones
     shape = SkewShape(Partition(outer), Partition(inner))
     vt = VariableTableau.from_cells(shape, {c: 3 for c in shape.cells()})
-    assert _sum_by_enumeration(vt, 1) == 1 == brute_force_schur(vt, 1)
+    assert eval_schur_truncated(vt, 1, exact=True) == 1 == brute_force_schur(vt, 1)
 
 
 def test_enumeration_sums_the_last_cell_from_its_lower_bound_to_M():
-    # the last cell's values a..M come from a suffix table of its weights;
-    # reading it one place off adds or drops the value at a
+    # the last cell's values a..M are summed from its lower bound a; a bound
+    # one place off adds or drops the value at a
     M = 5
     row = VariableTableau.from_cells(Partition((2,)), {(1, 1): 1, (1, 2): 2})
     col = VariableTableau.from_cells(Partition((1, 1)), {(1, 1): 1, (2, 1): 2})
     cell = VariableTableau.from_cells(Partition((1,)), {(1, 1): 2})
     pairs = [(a, b) for a in range(1, M + 1) for b in range(1, M + 1)]
-    assert _sum_by_enumeration(row, M) == sum(Fraction(1, a * b * b) for a, b in pairs if a <= b)
-    assert _sum_by_enumeration(col, M) == sum(Fraction(1, a * b * b) for a, b in pairs if a < b)
-    assert _sum_by_enumeration(cell, M) == sum(Fraction(1, b * b) for b in range(1, M + 1))
+    assert eval_schur_truncated(row, M, exact=True) == sum(Fraction(1, a * b * b) for a, b in pairs if a <= b)
+    assert eval_schur_truncated(col, M, exact=True) == sum(Fraction(1, a * b * b) for a, b in pairs if a < b)
+    assert eval_schur_truncated(cell, M, exact=True) == sum(Fraction(1, b * b) for b in range(1, M + 1))
 
 
 def test_eval_schur_routes_by_shape():
@@ -411,7 +432,7 @@ def test_eval_schur_routes_by_shape():
     assert res.path == "row-window"
     assert res.value == eval_schur_truncated(per_cell, 30, exact=False)
     res = eval_schur(per_cell, TruncationConfig(M=5, mode="exact"))
-    assert res.path == "enumeration" and res.value == brute_force_schur(per_cell, 5)
+    assert res.path == "row-window" and res.value == brute_force_schur(per_cell, 5)
 
     assert eval_schur(antihook_tableau([2, 3], [2]), TruncationConfig(M=30)).path == "antihook"
     skew = VariableTableau.from_content(SkewShape(Partition((3, 2)), Partition((1,))), {0: 2, 1: 2, 2: 2, -1: 2})
@@ -465,36 +486,38 @@ def test_row_window_refuses_before_allocating():
     assert peak < 100 * 2**20
 
 
+def test_exact_row_window_refuses_by_bytes_before_allocating():
+    # 200^3 = 8e6 entries are within floating mode's 2**28, but each exact
+    # entry is a numerator over lcm(1..200)^14, about 540 B: 4.3 GB in all
+    vt = VariableTableau.from_content(Partition((3, 3)), {0: 3, 1: 2, 2: 2, -1: 2})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large for this shape; lower M"):
+            eval_schur_truncated(vt, 200, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
 # --- free cells folded into chains in the row window ---
 
 
-def _cycled(outer, inner):
-    shape = SkewShape(Partition(outer), Partition(inner))
-    return VariableTableau.from_cells(shape, {c: 1 + k % 3 for k, c in enumerate(shape.cells())})
-
-
 @given(per_cell_tableaux(), st.integers(min_value=1, max_value=6))
-# the third row's first cell has nothing above or below it
-@example(_cycled((3, 3, 3), (2, 2)), 5)
-# the second row's one cell has no neighbour: the whole row is one chain
-@example(_cycled((4, 3), (3, 2)), 6)
-# a row has free cells at both ends only when all of it is free, so this
-# pins free cells at the right end of the first row and the left end of the
-# second, beside a cell with a neighbour above
-@example(_cycled((5, 3), (2,)), 6)
-# a left run above a wholly free row
-@example(_cycled((4, 4, 1), (2, 1)), 6)
+@free_cell_examples
 @settings(max_examples=80, deadline=None)
 def test_row_window_equals_enumeration(vt, M):
-    window = _sum_by_recurrence(vt, M)
+    # floating against exact, the exact row window checked by brute force above
+    window = _sum_by_recurrence(vt, M, exact=False)
     assert type(window) is float
-    assert window == pytest.approx(float(_sum_by_enumeration(vt, M)), rel=1e-12, abs=1e-300)
+    exact = eval_schur_truncated(vt, M, exact=True)
+    assert window == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("values", [[2.5], [2.5, 1.5, 3.0], [2.0, 2.5 + 1j]])
 def test_a_wholly_free_row_is_one_truncated_zeta_star(values):
     vt = VariableTableau.from_cells(Partition((len(values),)), {(1, j): v for j, v in enumerate(values, 1)})
-    assert _sum_by_recurrence(vt, 500) == eval_ez_truncated(values, 500, star=True, exact=False)
+    assert _sum_by_recurrence(vt, 500, exact=False) == eval_ez_truncated(values, 500, star=True, exact=False)
 
 
 def test_reversed_hook_row_window_is_linear_in_M():
@@ -504,7 +527,7 @@ def test_reversed_hook_row_window_is_linear_in_M():
     bottom, column = [2.5, 2.2, 2.0], [3.0, 2.5]
     tracemalloc.start()
     try:
-        window = _sum_by_recurrence(antihook_tableau(bottom, column), 20000)
+        window = _sum_by_recurrence(antihook_tableau(bottom, column), 20000, exact=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
