@@ -11,11 +11,10 @@ repository-wide convention: every running value stays <= M.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -188,39 +187,22 @@ def check_ez_domain(s: Sequence[Number]) -> bool:
     return True
 
 
-def _chain_numerators(s: Sequence[int], bases: Iterable[int], star: bool, L: int) -> Iterator[int]:
-    """The running sum over the chains of s (weak for star) taken in the
-    order of bases, yielded after each base as an integer numerator over
-    L^(s_1 + ... + s_r), L a multiple of every base. acc[t] sums the chains
-    of s[:t+1] whose last index comes before m (or is m, for star), so the
-    depth-r sum costs O(len(bases) * r) instead of O(len(bases) ** r)."""
-    powers = [L**e for e in s]
-    acc = [0] * len(s)
-    for m in bases:
-        prev = 1  # the empty chain
-        for t, e in enumerate(s):
-            term = prev * (powers[t] // m**e)
-            if star:
-                acc[t] += term
-                prev = acc[t]
-            else:
-                prev = acc[t]
-                acc[t] += term
-        yield acc[-1]
-
-
-def _truncated_exact(s: Sequence[int], M: int, star: bool) -> Fraction:
-    # only the last running numerator is kept, so memory stays O(r)
-    L = math.lcm(*range(1, M + 1))
-    last = deque(_chain_numerators(s, range(1, M + 1), star, L), maxlen=1).pop()
-    return Fraction(last, L ** sum(s))
+def _exact_exponents(values: Iterable[Number]) -> list[int]:
+    """The values as ints for an exact sum, which needs every one of them a
+    non-negative integer."""
+    ints = [exact_exponent(v) for v in values]
+    if None in ints:
+        raise ValueError("exact sums need non-negative integer exponents")
+    return ints
 
 
 def _powers(s: Number, bases: np.ndarray, log_bases: np.ndarray | None = None) -> np.ndarray:
     """bases^(-s): real for real s, else on the principal branch, from
     log_bases when the caller has it. The bases must be positive."""
     if isinstance(s, complex) and s.imag != 0:
-        return np.exp(-s * (np.log(bases) if log_bases is None else log_bases))
+        # exp in place: one complex array at a time, not two
+        W = -s * (np.log(bases) if log_bases is None else log_bases)
+        return np.exp(W, out=W)
     return bases ** (-float(complex(s).real))
 
 
@@ -229,32 +211,68 @@ def _pow_vector(s: Number, M: int, shift: float = 0.0) -> np.ndarray:
     return _powers(s, np.arange(1.0, M + 1.0) + shift)
 
 
-def _ez_terms(s: Sequence[Number], bases: np.ndarray, star: bool) -> tuple[np.ndarray, Number]:
-    """The last stage of the prefix-sum recurrence over the bases, in their
-    order: entry k sums the chains of s whose last index is bases[k]; and
-    the sum of the stage before it (1 for depth 1), over the bases 1..M the
-    truncated value of s[:-1].
+def _running_sums(A: np.ndarray, down: bool) -> np.ndarray:
+    """A's running sums in place, from entry 0 up or from the last entry down:
+    np.cumsum's additions, without its wrapper's cost on short arrays."""
+    if down:
+        np.add.accumulate(A[::-1], out=A[::-1])
+    else:
+        np.add.accumulate(A, out=A)
+    return A
 
-    The bases must be a contiguous array, so that a base's power does not
-    depend on its position. Their logs, needed only for a complex exponent,
-    are taken once; each stage's cumulative sum is taken in place and
-    multiplied into the next stage's powers, shifted by one for the strict
-    chain. A stage turns complex only where its exponent or an earlier one is.
+
+def _chains(s: Sequence[Number], M: int, star: bool, exact: bool, down: bool = False) -> tuple[np.ndarray, Number]:
+    """The chains m_1 < ... < m_r <= M of s (weak for star) by the prefix-sum
+    recurrence, one stage per exponent: (terms, rest).
+
+    Entry v - 1 of terms sums prod m_t^(-s_t) over the chains whose free end
+    is v: the last index going up, the first index going down. Going up, a
+    stage takes the running sum of the one before from v = 1 and multiplies
+    it into the next exponent's powers, shifted one value up for the strict
+    chain. Going down, the stages run from s_r to s_1, the running sums from
+    v = M and the strict shift one value down. So the depth-r sum costs
+    O(M * r), holding the bases, one stage and the next.
+
+    Floating mode: rest is the sum of the stage before the last (1 for depth
+    1), going up the truncated value of s[:-1], which the tail bound needs.
+    The logs of the bases are taken once, for a complex exponent only, and a
+    stage turns complex only where its exponent or an earlier one is.
+
+    Exact mode (non-negative integer exponents only): the same steps on a
+    numpy object array of integer numerators over D = L^(s_1 + ... + s_r),
+    L = lcm(1..M), where m^(-e) is L^e // m^e; rest is D.
     """
-    logs = np.log(bases) if any(isinstance(v, complex) and v.imag != 0 for v in s) else None
-    A = _powers(s[0], bases, logs)
-    rest = 1.0
-    for t, sj in enumerate(s[1:], 2):
-        if t == len(s):
+    if exact:
+        s = _exact_exponents(s)
+        L = math.lcm(*range(1, M + 1))
+
+        def powers(e):
+            Le = L**e
+            return np.array([Le // m**e for m in range(1, M + 1)], dtype=object)
+    else:
+        bases = np.arange(1.0, M + 1.0)
+        logs = np.log(bases) if any(isinstance(v, complex) and v.imag != 0 for v in s) else None
+
+        def powers(e):
+            return _powers(e, bases, logs)
+
+    stages = s[::-1] if down else s
+    A = powers(stages[0])
+    rest = L ** sum(s) if exact else 1.0
+    for t, e in enumerate(stages[1:], 2):
+        if t == len(s) and not exact:
             # numpy's pairwise sum, not cumsum's last entry: that one adds
             # sequentially and drifts ~1e-11 relative at M = 1e6
             rest = A.sum()
-        np.cumsum(A, out=A)
-        W = _powers(sj, bases, logs)
+        _running_sums(A, down)
+        W = powers(e)
         if np.iscomplexobj(A) and not np.iscomplexobj(W):
             W = W.astype(complex)
         if star:
             W *= A
+        elif down:
+            W[:-1] *= A[1:]
+            W[-1] = 0
         else:
             W[1:] *= A[:-1]
             W[0] = 0
@@ -262,12 +280,14 @@ def _ez_terms(s: Sequence[Number], bases: np.ndarray, star: bool) -> tuple[np.nd
     return A, rest
 
 
-def _truncated_float(s: Sequence[Number], M: int, star: bool) -> tuple[float | complex, Number]:
-    """The sum truncated at M, and that of s[:-1] (1 for depth 1), which the
-    tail bound needs."""
-    A, rest = _ez_terms(s, np.arange(1.0, M + 1.0), star)
-    total = A.sum()
-    return (complex(total) if np.iscomplexobj(A) else float(total)), rest
+def _ez_value(s: Sequence[Number], M: int, star: bool, exact: bool) -> tuple[Number, Number]:
+    """The sum truncated at M, an exact Fraction or a float or complex, and
+    the kernel's rest."""
+    terms, rest = _chains(s, M, star, exact)
+    total = terms.sum()
+    if exact:
+        return Fraction(total, rest), rest
+    return (complex(total) if np.iscomplexobj(terms) else float(total)), rest
 
 
 def eval_ez_truncated(s: Sequence[Number], M: int, star: bool = False, *, exact: bool) -> Number:
@@ -279,12 +299,7 @@ def eval_ez_truncated(s: Sequence[Number], M: int, star: bool = False, *, exact:
         raise ValueError("M must be >= 1")
     if not s:
         return Fraction(1) if exact else 1.0
-    if exact:
-        ints = [exact_exponent(v) for v in s]
-        if None in ints:
-            raise ValueError("exact sums need non-negative integer exponents")
-        return _truncated_exact(ints, M, star)
-    return _truncated_float(s, M, star)[0]
+    return _ez_value(s, M, star, exact)[0]
 
 
 def _tail_bound(s: Sequence[Number], M: int, rest: Number) -> float:
@@ -312,8 +327,7 @@ def eval_ez(s: Sequence[Number], cfg: TruncationConfig, star: bool = False) -> E
             f"exponents {s} violate the convergence condition (suffix sums must exceed the depth)"
         )
     exact, note = _arithmetic(cfg, s)
+    value, rest = _ez_value(s, cfg.M, star, exact)
     if exact:
-        value = _truncated_exact([exact_exponent(v) for v in s], cfg.M, star)
         return EvalResult(value, None, cfg.M)
-    value, rest = _truncated_float(s, cfg.M, star)
     return EvalResult(value, _tail_bound(s, cfg.M, rest), cfg.M, note=note)

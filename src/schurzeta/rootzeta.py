@@ -17,15 +17,14 @@ for a rank-r series at M, where the exact loop takes (M+1)^r.
 
 The chain tables at the bottom implement the coupled truncation used by the
 hook rewrite of Schur sums, where the bound applies to the running values
-x + m_1 + ... + m_k themselves. They are the Euler-Zagier prefix-sum
-recurrence of mzv run backwards, over M..1, in the arithmetic the caller
-names; chain_determinant assembles them into the Thm 4.2 series of a
+x + m_1 + ... + m_k themselves. They are mzv's one chain recurrence run
+down, from the value M, in the arithmetic the caller names;
+chain_determinant assembles them into the Thm 4.2 series of a
 content-parametrized Schur sum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -42,11 +41,11 @@ from .mzv import (
     Number,
     TruncationConfig,
     _arithmetic,
-    _chain_numerators,
+    _chains,
     _doubling_result,
-    _ez_terms,
+    _exact_exponents,
     _pow_vector,
-    exact_exponent,
+    _running_sums,
 )
 from .partitions import FrobeniusForm
 
@@ -129,9 +128,7 @@ def _box_sum(args: RootZetaArgs, M: int, d: int, x) -> Fraction:
     """
     r = args.r
     shift = Fraction(x) if x is not None else None
-    svals = {pair: exact_exponent(v) for pair, v in args.s.items()}
-    if None in svals.values():
-        raise ValueError("exact box sums need non-negative integer exponents")
+    svals = dict(zip(args.s, _exact_exponents(args.s.values())))
 
     total = Fraction(0)
     psums = [0] * (r + 2)  # psums[i] = m_i + ... + m_k at depth k
@@ -257,29 +254,25 @@ def shifted_chain_table(svals: Sequence[Number], M: int, weak: bool, exact: bool
     for v = 0..M+1 (T[0] clamps the lower bound to 1).
 
     A list of Fractions when exact (non-negative integer exponents only),
-    else a numpy array. The table is the prefix-sum recurrence of mzv run
-    over the bases M..1 with the exponents reversed: its running sums, read
-    backwards, are T[1..M] for the weak chain and T[0..M-1] for the strict.
+    else a numpy array. The table is mzv's chain recurrence run down: entry
+    v - 1 of its running sums from v = M sums the chains whose first index
+    is v or more, which is T[v] for the weak chain and T[v - 1] for the
+    strict.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     svals = tuple(svals)
     if not svals:
         return [Fraction(1)] * (M + 2) if exact else np.ones(M + 2)
+    terms, rest = _chains(svals, M, weak, exact, down=True)
+    sums = _running_sums(terms, down=True)
     if exact:
-        ints = [exact_exponent(v) for v in svals]
-        if None in ints:
-            raise ValueError("exact chain tables need non-negative integer exponents")
-        L = math.lcm(*range(1, M + 1))
-        D = L ** sum(ints)
-        sums = [Fraction(n, D) for n in _chain_numerators(ints[::-1], range(M, 0, -1), weak, L)]
+        sums = [Fraction(n, rest) for n in sums]
         T = [Fraction(0)] * (M + 2)
     else:
-        A, _ = _ez_terms(svals[::-1], np.arange(float(M), 0.0, -1.0), star=weak)
-        sums = np.cumsum(A, out=A)
-        T = np.zeros(M + 2, dtype=A.dtype)
+        T = np.zeros(M + 2, dtype=sums.dtype)
     lo = 1 if weak else 0
-    T[lo : M + lo] = sums[::-1]
+    T[lo : M + lo] = sums
     T[0] = T[lo]
     return T
 
@@ -327,9 +320,7 @@ def chain_determinant(frobenius: FrobeniusForm, assignment: ContentAssignment, M
         for q in frobenius.q
     ]
     if exact:
-        e = exact_exponent(assignment[0])
-        if e is None:
-            raise ValueError("exact chain sums need non-negative integer exponents")
+        [e] = _exact_exponents([assignment[0]])
         legs = [[v / m**e for m, v in enumerate(leg, 1)] for leg in legs]
         return _det([[sum(map(mul, leg, arm), Fraction(0)) for arm in arms] for leg in legs])
     legs, arms = np.stack(legs) * _pow_vector(assignment[0], M), np.stack(arms)

@@ -35,15 +35,13 @@ from .mzv import (
     Number,
     TruncationConfig,
     _arithmetic,
-    _chain_numerators,
+    _chains,
     _doubling_result,
-    _ez_terms,
-    _pow_vector,
-    eval_ez_truncated,
-    exact_exponent,
+    _exact_exponents,
+    _running_sums,
 )
 from .partitions import Partition, SkewShape
-from .rootzeta import chain_determinant, shifted_chain_table
+from .rootzeta import chain_determinant
 
 
 @dataclass(frozen=True)
@@ -141,13 +139,13 @@ def _refuse_outside_W_lambda(vt: VariableTableau) -> None:
 # right end of a row they fold into a weak suffix chain over the last placed
 # cell, at the left end into a weak prefix chain in the weight of the first
 # placed cell, and a row of such cells into one scalar, its truncated
-# zeta-star value. Both chains and that value come from one recurrence, the
-# Euler-Zagier star recurrence (mzv._ez_terms in floating point,
-# mzv._chain_numerators in exact mode), run over 1..M for the prefix and the
-# scalar and over M..1 for the suffix. So the state holds M ** w entries, w
-# at most one more than the sum of the row's overlaps with its neighbours,
-# and a reversed hook, whose bottom row's free cells fold into one prefix
-# chain, stays at M.
+# zeta-star value. All three, and a cell's weight m^(-s), come from mzv's one
+# chain kernel, mzv._chains, in either arithmetic: its running sums up for
+# the prefix, down for the suffix, the sum of its terms for the scalar, and
+# its depth-1 terms for a weight. So the state holds M ** w entries, w at
+# most one more than the sum of the row's overlaps with its neighbours, and
+# a reversed hook, whose bottom row's free cells fold into one prefix chain,
+# stays at M.
 #
 # In exact mode the state is a numpy object array of Python ints, each a
 # numerator over L^K, L = lcm(1..M) and K the sum of the exponents: a cell
@@ -156,13 +154,22 @@ def _refuse_outside_W_lambda(vt: VariableTableau) -> None:
 
 
 class _RowWindow:
-    """State array plus the labels of its live axes. A state of more than
-    max_elems entries is refused before it is built."""
+    """State array plus the labels of its live axes. max_elems bounds the
+    entries held at once: a placement is refused before anything is built
+    when its peak, self.peak times the state it builds, would exceed it.
+
+    The cumsum, roll, gather and weight product of a placement each copy the
+    state; tracemalloc put the peak at up to 4.3 states in floating point.
+    In exact mode the roll and the gather copy pointers, not numerators, so
+    the peak stayed under 2.3 states of entries the size of the final
+    denominator.
+    """
 
     def __init__(self, M: int, dtype, max_elems: int):
         self.M = M
         self.dtype = dtype
         self.max_elems = max_elems
+        self.peak = 2.5 if dtype is object else 4.5
         self.state = np.ones((), dtype=dtype)
         self.live: list[tuple[str, int]] = []
 
@@ -179,7 +186,7 @@ class _RowWindow:
         M, state = self.M, self.state
         # the consumed axes collapse into the new one, the others stay
         n_consumed = (consume_strict is not None) + (consume_weak is not None)
-        if state.size // M**n_consumed * M > self.max_elems:
+        if self.peak * (state.size // M**n_consumed * M) > self.max_elems:
             raise ValueError("row-window state too large for this shape; lower M")
         consumed = []
         for lab, strict in ((consume_strict, True), (consume_weak, False)):
@@ -236,48 +243,27 @@ class _RowWindow:
 
 def _sum_by_recurrence(vt: VariableTableau, M: int, exact: bool) -> Number:
     """The row loop, shared by both arithmetics; the arithmetic picks the
-    cell weights, the two folded chains and a wholly free row's value."""
+    state's dtype, its refusal budget of 2 GiB and the final denominator."""
     shape = vt.shape
+    value = vt.cell_values
     if exact:
-        value = {c: exact_exponent(v) for c, v in vt.cell_values.items()}
-        if None in value.values():
-            raise ValueError("exact evaluation needs non-negative integer exponents")
-        L = math.lcm(*range(1, M + 1))
-        D = L ** sum(value.values())
-        # an entry is a pointer to a numerator of about D's size; refuse a
-        # state above the 2 GiB that floating mode allows
+        D = math.lcm(*range(1, M + 1)) ** sum(_exact_exponents(value.values()))
+        # an entry is a pointer to a numerator of about D's size
         win = _RowWindow(M, object, 2**31 // (8 + sys.getsizeof(D)))
-        weight = {e: np.array([L**e // m**e for m in range(1, M + 1)], dtype=object)
-                  for e in set(value.values())}.__getitem__
-
-        def chain(svals, bases):
-            return np.array(list(_chain_numerators(svals, bases, True, L)), dtype=object)
-
-        def prefix_chain(svals):
-            return chain(svals, range(1, M + 1))
-
-        def suffix_chain(svals):
-            return chain(svals[::-1], range(M, 0, -1))[::-1]
-
-        def free_row(svals):
-            return prefix_chain(svals)[-1]
     else:
-        value = vt.cell_values
         dtype = complex if any(isinstance(v, complex) and v.imag for v in value.values()) else float
-        win = _RowWindow(M, dtype, 2**28)  # 2 GiB of float64
+        win = _RowWindow(M, dtype, 2**31 // np.dtype(dtype).itemsize)
 
-        def weight(s):
-            return _pow_vector(s, M)
+    def weight(s):
+        return _chains([s], M, True, exact)[0]
 
-        def prefix_chain(svals):
-            terms, _ = _ez_terms(svals, np.arange(1.0, M + 1.0), star=True)
-            return np.cumsum(terms, out=terms)
+    def chain(svals, down):
+        # entry v - 1 sums the weak chains over svals ending at v or below
+        # (up) or starting at v or above (down)
+        return _running_sums(_chains(svals, M, True, exact, down)[0], down)
 
-        def suffix_chain(svals):
-            return shifted_chain_table(svals, M, weak=True, exact=False)[1 : M + 1]
-
-        def free_row(svals):
-            return eval_ez_truncated(svals, M, star=True, exact=False)
+    def free_row(svals):
+        return _chains(svals, M, True, exact)[0].sum()
 
     spans = [shape.row_span(i) for i in range(1, shape.n_rows + 1)]
     b_prev = 0  # right end of the adjacent nonempty row above
@@ -305,7 +291,7 @@ def _sum_by_recurrence(vt: VariableTableau, M: int, exact: bool) -> Number:
         prefix = None
         if a + 1 < c1 < c0:
             # prefix[v - 1] sums the weak chains n_(a+1) <= ... <= n_(c1-1) <= v
-            prefix = prefix_chain([value[i, c] for c in range(a + 1, c1)])
+            prefix = chain([value[i, c] for c in range(a + 1, c1)], down=False)
         for c in range(c1, c0):
             w = weight(value[i, c])
             if c == c1 and prefix is not None:
@@ -327,7 +313,7 @@ def _sum_by_recurrence(vt: VariableTableau, M: int, exact: bool) -> Number:
             if c0 == a + 1:
                 win.scale(free_row(svals))
             else:
-                win.scale_axis(("u", c0 - 1), suffix_chain(svals))
+                win.scale_axis(("u", c0 - 1), chain(svals, down=True))
         for lab in list(win.live):
             kind, c = lab
             if kind == "u" and c > b_next:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ from schurzeta.mzv import (
     ContentAssignment,
     ConvergenceError,
     TruncationConfig,
+    _chains,
+    _ez_value,
     _tail_bound,
-    _truncated_float,
     check_ez_domain,
     eval_ez,
     eval_ez_truncated,
@@ -100,7 +102,7 @@ EXPONENTS = st.one_of(
 @example([3, 2 + 0j], 2, True)
 @settings(max_examples=200, deadline=None)
 def test_float_recurrence_is_bit_identical_to_the_fresh_array_reference(s, M, star):
-    value, rest = _truncated_float(s, M, star)
+    value, rest = _ez_value(s, M, star, exact=False)
     ref_value, ref_rest = reference_truncated_float(s, M, star)
     assert type(value) is type(ref_value) and type(rest) is type(ref_rest)
     assert value == ref_value and rest == ref_rest
@@ -110,10 +112,37 @@ def test_float_recurrence_is_bit_identical_to_the_fresh_array_reference(s, M, st
         assert res.tail_bound == _tail_bound(s, M, ref_rest)
 
 
+@pytest.mark.parametrize(
+    "s, arrays",
+    [
+        ([2.5], 3),
+        ([1.5, 2.0, 3.0], 3),
+        ([2.0, 1.5, 2.5, 3.0], 3),
+        ([2 + 1j], 7),
+        ([2.0, 2 + 1j, 3.0], 7),
+        ([2 - 1j, 2.0, 2 + 1j], 7),
+        ([2 + 1j, 1.5 - 1j, 2 + 2j, 3.0], 7),
+    ],
+)
+@pytest.mark.parametrize("down", [False, True])
+def test_the_chain_kernel_holds_the_bases_and_two_stages(s, arrays, down):
+    # bases, one stage and the next, in float64 arrays of length M (a complex
+    # stage is two, and a complex exponent adds the bases' logs): a stage
+    # kept alive into the next step would show here
+    M = 200_000
+    tracemalloc.start()
+    try:
+        _chains(s, M, False, False, down)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * M + 2**16
+
+
 def reference_truncated_exact(s, M, star):
     """The exact recurrence as one fused loop over m on integer numerators
-    over lcm(1..M)^(s_1 + ... + s_r): the reference for the generator that
-    also serves the exact chain tables."""
+    over lcm(1..M)^(s_1 + ... + s_r): the reference for the chain kernel
+    that also serves the exact chain tables."""
     L = math.lcm(*range(1, M + 1))
     powers = [L**e for e in s]
     acc = [0] * len(s)

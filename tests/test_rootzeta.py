@@ -363,8 +363,8 @@ def test_empty_chain_is_one():
 
 def reference_float_chain_table(svals, M, weak):
     """The floating chain table as one backward cumsum per exponent, built
-    from the innermost exponent out: the reference for the table the
-    Euler-Zagier recurrence gives over the bases M..1."""
+    from the innermost exponent out: the reference for the table the chain
+    kernel gives run down, from the value M."""
     dtype = complex if any(isinstance(v, complex) and v.imag for v in svals) else float
     m = np.arange(1.0, M + 1.0)
     T = np.ones(M + 2, dtype=dtype)

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig,
 from schurzeta.partitions import Partition, SkewShape, enumerate_ssyt
 from schurzeta.schur import (
     VariableTableau,
+    _RowWindow,
     _antihook_content,
     _route,
     _sum_by_recurrence,
@@ -486,8 +488,35 @@ def test_row_window_refuses_before_allocating():
     assert peak < 100 * 2**20
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_window_refuses_by_its_peak_not_only_its_state(dtype):
+    # consuming an axis of an M^2 state copies it about four times: a window
+    # that may hold 3 such states refuses to build one, one that may hold 5
+    # builds it within them
+    M = 100
+    w = np.ones(M, dtype=dtype)
+
+    def window(max_elems):
+        win = _RowWindow(M, dtype, max_elems)
+        win.place("a", w)
+        win.place("b", w, mask_weak="a")
+        return win
+
+    with pytest.raises(ValueError, match="too large"):
+        window(3 * M**2)
+    win = window(5 * M**2)
+    tracemalloc.start()
+    try:
+        win.place("c", w, consume_strict="b")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert win.state.size == M**2
+    assert peak <= win.peak * win.state.nbytes
+
+
 def test_exact_row_window_refuses_by_bytes_before_allocating():
-    # 200^3 = 8e6 entries are within floating mode's 2**28, but each exact
+    # 200^3 = 8e6 entries are within floating mode's budget, but each exact
     # entry is a numerator over lcm(1..200)^14, about 540 B: 4.3 GB in all
     vt = VariableTableau.from_content(Partition((3, 3)), {0: 3, 1: 2, 2: 2, -1: 2})
     tracemalloc.start()
