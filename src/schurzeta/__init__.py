@@ -11,7 +11,6 @@ from .expressions import (
     expand_antihook,
     expand_giambelli,
     expand_giambelli_terms,
-    expand_grid_determinant,
     expand_hook,
     giambelli_det_expr,
     normalize,
@@ -25,7 +24,7 @@ from .mzv import (
     eval_ez,
     eval_ez_truncated,
 )
-from .partitions import FrobeniusForm, Partition, SkewShape, Tableau, enumerate_ssyt
+from .partitions import FrobeniusForm, Partition, SkewShape
 from .rootzeta import (
     RootZetaArgs,
     canonical_pairs,
@@ -55,7 +54,6 @@ __all__ = [
     "Partition",
     "RootZetaArgs",
     "SkewShape",
-    "Tableau",
     "TruncationConfig",
     "VariableTableau",
     "ZetaSymbol",
@@ -65,7 +63,6 @@ __all__ = [
     "check_W_lambda",
     "check_ez_domain",
     "check_root_domain",
-    "enumerate_ssyt",
     "eval_ez",
     "eval_ez_truncated",
     "eval_root_zeta",
@@ -76,7 +73,6 @@ __all__ = [
     "expand_antihook",
     "expand_giambelli",
     "expand_giambelli_terms",
-    "expand_grid_determinant",
     "expand_hook",
     "giambelli_det_expr",
     "normalize",

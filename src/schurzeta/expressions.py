@@ -261,23 +261,6 @@ def giambelli_det_expr(lam: Partition) -> list[list[HookEntry]]:
     return [[HookEntry(f.p[i], f.q[j]) for j in range(f.n)] for i in range(f.n)]
 
 
-def expand_grid_determinant(grid: Sequence[Sequence[HookEntry]], variant: str = "hook1") -> FormalExpr:
-    """Cofactor expansion along the last column, entries expanded per hook."""
-    mat = [[expand_hook(e.p, e.q, variant) for e in row] for row in grid]
-
-    def det(m: list[list[FormalExpr]]) -> FormalExpr:
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        total = FormalExpr.zero()
-        for h in range(n):
-            minor = [row[:-1] for r, row in enumerate(m) if r != h]
-            total = total + (m[h][n - 1] * det(minor)).scaled((-1) ** (h + 1 + n))
-        return total
-
-    return normalize(det(mat))
-
-
 def _slot_table(lam: Partition, variant: str) -> list[list[list[tuple[int, tuple[ZetaSymbol, ...]]]]]:
     """The N x N per-slot term lists of the permutation sum: slot (k, c) is
     the hook with arm p_c and leg q_k, expanded as hook1 (standard) or hook2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
@@ -206,6 +207,13 @@ def _powers(s: Number, bases: np.ndarray, log_bases: np.ndarray | None = None) -
     return bases ** (-float(complex(s).real))
 
 
+@lru_cache
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n), once per n: exact chain and row-window sums at M = n run
+    over powers of it."""
+    return math.lcm(*range(1, n + 1))
+
+
 def _pow_vector(s: Number, M: int, shift: float = 0.0) -> np.ndarray:
     """(m + shift)^(-s) for m = 1..M, by the rule of _powers."""
     return _powers(s, np.arange(1.0, M + 1.0) + shift)
@@ -244,7 +252,7 @@ def _chains(s: Sequence[Number], M: int, star: bool, exact: bool, down: bool = F
     """
     if exact:
         s = _exact_exponents(s)
-        L = math.lcm(*range(1, M + 1))
+        L = _lcm_upto(M)
 
         def powers(e):
             Le = L**e

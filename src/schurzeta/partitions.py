@@ -1,4 +1,4 @@
-"""Partitions, skew shapes and semi-standard Young tableaux.
+"""Partitions, skew shapes and Frobenius forms.
 
 Cells are addressed (row, column), 1-based, with rows growing downwards.
 The content of a cell (i, j) is j - i; content-parametrized exponents
@@ -7,7 +7,7 @@ elsewhere in the package are keyed on that number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 
@@ -207,81 +207,3 @@ class SkewShape:
         if self.is_straight():
             return f"SkewShape{self.outer.parts}"
         return f"SkewShape({self.outer.parts}/{self.inner.parts})"
-
-
-@dataclass
-class Tableau:
-    """A filling of a skew shape: rows weakly increase, columns strictly increase."""
-
-    shape: SkewShape
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        cells = self.shape.cells()
-        if set(self.entries) != set(cells):
-            raise ValueError("entries must cover exactly the cells of the shape")
-        for (i, j), v in self.entries.items():
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"entry at ({i},{j}) must be a positive integer")
-        for i, j in cells:
-            v = self.entries[(i, j)]
-            if self.shape.contains(i, j + 1) and self.entries[(i, j + 1)] < v:
-                raise ValueError(f"row {i} fails to weakly increase at column {j}")
-            if self.shape.contains(i + 1, j) and self.entries[(i + 1, j)] <= v:
-                raise ValueError(f"column {j} fails to strictly increase at row {i}")
-
-    def __getitem__(self, cell: tuple[int, int]) -> int:
-        return self.entries[cell]
-
-    def row_word(self) -> tuple[int, ...]:
-        """Entries read row by row, left to right (the enumeration order key)."""
-        return tuple(self.entries[c] for c in self.shape.cells())
-
-    def __repr__(self) -> str:
-        rows = []
-        for i in range(1, self.shape.n_rows + 1):
-            a, b = self.shape.row_span(i)
-            rows.append("." * a + "".join(str(self.entries[(i, j)]) for j in range(a + 1, b + 1)))
-        return "Tableau[" + "|".join(rows) + "]"
-
-
-def enumerate_ssyt(shape: SkewShape | Partition, max_entry: int) -> Iterator[Tableau]:
-    """Yield every semi-standard filling with entries in 1..max_entry.
-
-    Depth-first fill in row-major order, trying smaller values first, so the
-    stream is lexicographic on the row-major entry word. Branches are pruned
-    when the value floor (left and above neighbours) or the remaining column
-    height makes completion impossible.
-    """
-    if isinstance(shape, Partition):
-        shape = shape.as_skew()
-    if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
-    cells = shape.cells()
-    if not cells:
-        yield Tableau(shape, {})
-        return
-    # cells strictly below (i, j) in its column still need distinct larger values
-    below = {
-        (i, j): sum(1 for r in range(i + 1, shape.n_rows + 1) if shape.contains(r, j))
-        for (i, j) in cells
-    }
-    entries: dict[tuple[int, int], int] = {}
-
-    def fill(k: int) -> Iterator[Tableau]:
-        if k == len(cells):
-            yield Tableau(shape, dict(entries))
-            return
-        i, j = cells[k]
-        lo = 1
-        if shape.contains(i, j - 1):
-            lo = max(lo, entries[(i, j - 1)])
-        if shape.contains(i - 1, j):
-            lo = max(lo, entries[(i - 1, j)] + 1)
-        hi = max_entry - below[(i, j)]
-        for v in range(lo, hi + 1):
-            entries[(i, j)] = v
-            yield from fill(k + 1)
-        entries.pop((i, j), None)
-
-    yield from fill(0)

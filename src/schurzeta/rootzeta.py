@@ -9,11 +9,10 @@ The rank-r series runs over m_1, ..., m_r with one factor
 * bullet-H (d, x): both; the shift keeps every base positive, so nothing
   needs omitting.
 
-Public evaluators truncate each index at M (a box truncation). Exact mode
-sums the box depth-first in Fractions (_box_sum). Floating mode builds one
-table of powers per root and sums the grid of the last two indices in numpy
-(_grid_sum), one block of rows at a time: about (M+1)^(r-2) Python steps
-for a rank-r series at M, where the exact loop takes (M+1)^r.
+Public evaluators truncate each index at M (a box truncation). One box sum,
+_grid_sum, serves both arithmetics: a table of powers per root, and the grid
+of the last two indices summed in numpy by blocks of rows, about (M+1)^(r-2)
+Python steps at rank r. Exact mode runs it on integer numerators.
 
 The chain tables at the bottom implement the coupled truncation used by the
 hook rewrite of Schur sums, where the bound applies to the running values
@@ -25,10 +24,11 @@ content-parametrized Schur sum.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -118,89 +118,59 @@ def check_root_domain(args: RootZetaArgs) -> bool:
     return True
 
 
-def _box_sum(args: RootZetaArgs, M: int, d: int, x) -> Fraction:
-    """The exact sum over the box 0-or-1 <= m_k <= M, depth-first in Fractions.
-
-    With x None and d > 0 the prime rule applies: a zero base can only occur
-    for a factor entirely inside the zero-based block, and it is skipped.
-    Floating mode sums the same box with _grid_sum; this loop visits every
-    point and is the tests' reference for it.
-    """
-    r = args.r
-    shift = Fraction(x) if x is not None else None
-    svals = dict(zip(args.s, _exact_exponents(args.s.values())))
-
-    total = Fraction(0)
-    psums = [0] * (r + 2)  # psums[i] = m_i + ... + m_k at depth k
-
-    def descend(k: int, weight):
-        nonlocal total
-        lo = 0 if k <= d else 1
-        for m in range(lo, M + 1):
-            for i in range(1, k + 1):
-                psums[i] += m
-            w = weight
-            for i in range(1, k + 1):
-                s = svals.get((i, k + 1))
-                if not s:
-                    continue
-                base = psums[i] if shift is None else shift + psums[i]
-                if base == 0:
-                    continue  # prime rule, only reachable inside the zero block
-                w = w / base**s
-            if k == r:
-                total += w
-            else:
-                descend(k + 1, w)
-            for i in range(1, k + 1):
-                psums[i] -= m
-        psums[k] = 0
-
-    descend(1, Fraction(1))
-    return total
-
-
-# elements of the (m_{r-1}, m_r) grid that _grid_sum holds at once
+# float elements of one _grid_sum block; an exact block holds as many bytes
 _GRID_BLOCK = 1 << 20
+# box points one job may sum, at M and at 2M when floating (~8 s of floats)
+_MAX_BOX_POINTS = 1 << 30
 
 
-def _grid_sum(args: RootZetaArgs, M: int, d: int, x) -> float | complex:
-    """The box sum of _box_sum in floating point.
+def _grid_sum(args: RootZetaArgs, M: int, d: int, x, exact: bool) -> Number:
+    """The sum over the box 0-or-1 <= m_k <= M, in the arithmetic exact names.
 
     Each root (i, j) gets one table of (v + x)^(-s) over the bases
     v = 0..r*M; without a shift, base 0 (only inside the zero block) holds 1,
     the prime rule. A Python loop runs over m_1..m_{r-2}; numpy sums the
     (m_{r-1}, m_r) grid in blocks of rows, gathering every factor that
-    touches the last two indices from its table at m_i + ... + m_{j-1}. That
-    is about (M+1)^(r-2) Python steps, and memory stays at the tables plus
-    one block of _GRID_BLOCK elements.
+    touches the last two indices from its table at m_i + ... + m_{j-1}: about
+    (M+1)^(r-2) Python steps, and memory for the tables plus one block.
+
+    Exact mode (integer s >= 0, x = p/q) runs the same loop on numerators:
+    with L the lcm of the bases B = q*v + p, a table holds (q*L // B)^s over
+    L^s, and L^s at base 0, so the box is one Fraction over L^(sum of s).
     """
     r = args.r
-    tables = {}
-    for pair, s in args.s.items():
-        if s == 0:
-            continue
-        if x is None:
-            tables[pair] = np.concatenate(([1.0], _pow_vector(s, r * M)))
-        else:
-            tables[pair] = _pow_vector(s, r * M + 1, float(x) - 1.0)
-    dtype = np.result_type(float, *tables.values())
+    if exact:
+        exponents = _exact_exponents(args.s.values())
+        p, q = (0, 1) if x is None else Fraction(x).as_integer_ratio()
+        bases = range(p, p + q * r * M + 1, q)
+        L = math.lcm(*filter(None, bases))
+        quotients = [q * L // B if B else L for B in bases]
+        tables = {pair: np.array([n**s for n in quotients], dtype=object) for pair, s in zip(args.s, exponents) if s}
+        D = L ** sum(exponents)
+        dtype, elems = object, _GRID_BLOCK * 8 // (8 + sys.getsizeof(D))
+    else:
+        tables = {
+            pair: np.concatenate(([1.0], _pow_vector(s, r * M))) if x is None
+            else _pow_vector(s, r * M + 1, float(x) - 1.0)
+            for pair, s in args.s.items() if s != 0
+        }
+        dtype, elems = np.result_type(float, *tables.values()), _GRID_BLOCK
     lo = [0 if k <= d else 1 for k in range(1, r + 1)]
     cols = np.arange(lo[-1], M + 1)  # m_r
     # m_{r-1}; rank 1 has none, and its one row of zeros is read by no factor
     rows = np.arange(lo[-2], M + 1) if r > 1 else np.zeros(1, dtype=int)
-    step = max(1, _GRID_BLOCK // len(cols))
+    step = max(1, elems // len(cols))
     head = {pair: t.tolist() for pair, t in tables.items() if pair[1] < r}
     row = [(pair[0], t) for pair, t in tables.items() if pair[1] == r]
     grid = [(pair[0], t) for pair, t in tables.items() if pair[1] == r + 1]
 
-    total = 0.0
+    total = 0
     for ms in product(*(range(lo[k], M + 1) for k in range(r - 2))):
         # tail[i] = m_i + ... + m_{r-2}, so the pair (i, j) has base tail[i] - tail[j]
         tail = [0] * (r + 1)
         for i in range(r - 2, 0, -1):
             tail[i] = tail[i + 1] + ms[i - 1]
-        w = 1.0
+        w = 1
         for (i, j), t in head.items():
             w *= t[tail[i] - tail[j]]
         for first in range(0, len(rows), step):
@@ -213,6 +183,8 @@ def _grid_sum(args: RootZetaArgs, M: int, d: int, x) -> float | complex:
             for i, t in row:
                 block *= t[tail[i] :][a][:, None]
             total += w * block.sum()
+    if exact:
+        return Fraction(total, D)
     total = complex(total)
     return total.real if total.imag == 0 else total
 
@@ -235,9 +207,12 @@ def eval_root_zeta(args: RootZetaArgs, cfg: TruncationConfig, d: int = 0, x=None
     rational_x = x is None or isinstance(x, (int, Fraction)) and not isinstance(x, bool)
     if exact and not rational_x:
         exact, note = False, "exact mode requires a rational shift x; summed in floating point"
+    points = sum((m + 1) ** d * m ** (args.r - d) for m in ([cfg.M] if exact else [cfg.M, 2 * cfg.M]))
+    if points > _MAX_BOX_POINTS:
+        raise ValueError(f"job too large (predicted {points} box points); lower M")
     if exact:
-        return EvalResult(_box_sum(args, cfg.M, d, x), None, cfg.M)
-    return _doubling_result(lambda m: _grid_sum(args, m, d, x), cfg.M, note=note)
+        return EvalResult(_grid_sum(args, cfg.M, d, x, True), None, cfg.M)
+    return _doubling_result(lambda m: _grid_sum(args, m, d, x, False), cfg.M, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +269,7 @@ def _det(rows):
             g = a[i][k] / a[k][k]
             for j in range(k + 1, n):
                 a[i][j] -= g * a[k][j]
-    return prod((a[k][k] for k in range(n)), start=sign)
+    return math.prod((a[k][k] for k in range(n)), start=sign)
 
 
 def chain_determinant(frobenius: FrobeniusForm, assignment: ContentAssignment, M: int, exact: bool) -> Number:

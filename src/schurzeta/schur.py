@@ -19,7 +19,6 @@ over the tableau's content assignment like any other expression.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .mzv import (
     _chains,
     _doubling_result,
     _exact_exponents,
+    _lcm_upto,
     _running_sums,
 )
 from .partitions import Partition, SkewShape
@@ -247,7 +247,7 @@ def _sum_by_recurrence(vt: VariableTableau, M: int, exact: bool) -> Number:
     shape = vt.shape
     value = vt.cell_values
     if exact:
-        D = math.lcm(*range(1, M + 1)) ** sum(_exact_exponents(value.values()))
+        D = _lcm_upto(M) ** sum(_exact_exponents(value.values()))
         # an entry is a pointer to a numerator of about D's size
         win = _RowWindow(M, object, 2**31 // (8 + sys.getsizeof(D)))
     else:

@@ -10,17 +10,17 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from oracles import enumerate_ssyt, expand_grid_determinant
 from schurzeta.expressions import (
     eval_thm42,
     evaluate_expr,
     expand_antihook,
     expand_giambelli,
-    expand_grid_determinant,
     expand_hook,
     giambelli_det_expr,
 )
 from schurzeta.mzv import TruncationConfig, eval_ez, eval_ez_truncated
-from schurzeta.partitions import FrobeniusForm, Partition, enumerate_ssyt
+from schurzeta.partitions import FrobeniusForm, Partition
 from schurzeta.rootzeta import RootZetaArgs, canonical_pairs, eval_root_zeta
 from schurzeta.schur import (
     VariableTableau,

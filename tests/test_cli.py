@@ -345,6 +345,14 @@ def test_eval_rootzeta(capsys):
     assert floating["value"] == pytest.approx(exact["value_float"], rel=1e-12)
 
 
+def test_eval_rootzeta_refuses_an_oversized_box(capsys):
+    # rank 3 at the default M = 1000 would sum 1000^3 and then 2000^3 points
+    assert cli.main(["eval-rootzeta", "--rank", "3", "--svars", "2,2,2,2,2,2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert out["error"] == "job too large (predicted 9000000000 box points); lower M"
+
+
 def test_eval_schur_cli(tmp_path, capsys):
     code = cli.main(["eval-schur", "--shape", "2,2", "--content", "0=3,1=2,-1=2",
                      "--M", "4", "--exact"])

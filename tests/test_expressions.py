@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import expand_grid_determinant
 from schurzeta.expressions import (
     FormalExpr,
     FormalTerm,
@@ -14,7 +15,6 @@ from schurzeta.expressions import (
     expand_antihook,
     expand_giambelli,
     expand_giambelli_terms,
-    expand_grid_determinant,
     expand_hook,
     giambelli_det_expr,
     normalize,

@@ -4,13 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from schurzeta.partitions import (
-    FrobeniusForm,
-    Partition,
-    SkewShape,
-    Tableau,
-    enumerate_ssyt,
-)
+from oracles import Tableau, enumerate_ssyt
+from schurzeta.partitions import FrobeniusForm, Partition, SkewShape
 
 
 @st.composite

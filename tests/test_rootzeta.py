@@ -12,7 +12,6 @@ from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig,
 from schurzeta.partitions import FrobeniusForm, Partition
 from schurzeta.rootzeta import (
     RootZetaArgs,
-    _box_sum,
     _grid_sum,
     canonical_pairs,
     chain_determinant,
@@ -32,7 +31,8 @@ def floating(M):
 
 
 def brute_force_root(args, M, d=0, x=None):
-    """Direct product over the box, the oracle for the DFS evaluator."""
+    """Direct product over the box in Fractions, the oracle for the box sum
+    in both arithmetics."""
     r = args.r
     total = Fraction(0)
     ranges = [range(0 if k <= d else 1, M + 1) for k in range(1, r + 1)]
@@ -213,7 +213,7 @@ def test_exact_mode_falls_back_on_float_exponents(d, x):
     assert res.value == eval_root_zeta(args, floating(6), d, x).value
 
 
-# --- the floating box sum against the depth-first loop ---
+# --- the box sum against the direct product over the box ---
 
 
 def complex_brute_force_root(args, M, d=0, x=None):
@@ -231,7 +231,7 @@ def complex_brute_force_root(args, M, d=0, x=None):
     return total
 
 
-# the largest M drawn per rank: the loop reference visits (M+1)^r points
+# the largest M drawn per rank: the references visit (M+1)^r points
 MAX_M = {1: 40, 2: 12, 3: 6, 4: 4}
 
 
@@ -256,9 +256,19 @@ def root_cases(draw, exponents):
 def test_grid_sum_matches_the_loop_on_integer_exponents(case):
     args, M, d, x = case
     res = eval_root_zeta(args, floating(M), d, x)
-    want = float(_box_sum(args, M, d, x))
+    want = float(brute_force_root(args, M, d, x))
     assert type(res.value) is float
     assert abs(res.value - want) <= 1e-12 * want
+
+
+@given(root_cases(st.integers(min_value=0, max_value=3)))
+@settings(max_examples=80, deadline=None)
+def test_exact_grid_sum_equals_the_direct_product(case):
+    args, M, d, x = case
+    value = _grid_sum(args, M, d, x, True)
+    assert type(value) is Fraction
+    assert value == brute_force_root(args, M, d, x)
+    assert eval_root_zeta(args, exact(M), d, x).value == value
 
 
 real_or_complex = st.one_of(
@@ -292,20 +302,21 @@ def test_grid_sum_matches_brute_force_on_real_and_complex_exponents(case):
     ids=["M-one", "M-one-bullet-H", "zero-block", "last-index-free", "last-index-free-bullet", "two-free-H"],
 )
 def test_grid_sum_pinned_cases(args, M, d, x):
-    value = _grid_sum(args, M, d, x)
-    want = float(_box_sum(args, M, d, x))
+    want = brute_force_root(args, M, d, x)
+    assert _grid_sum(args, M, d, x, True) == want
+    value = _grid_sum(args, M, d, x, False)
     assert type(value) is float
-    assert abs(value - want) <= 1e-12 * want
+    assert abs(value - float(want)) <= 1e-12 * float(want)
 
 
 @pytest.mark.parametrize("s", [2.5, -1, Fraction(1, 2)])
 def test_box_sum_refuses_an_exponent_it_cannot_sum_exactly(s):
     with pytest.raises(ValueError, match="non-negative integer"):
-        _box_sum(RootZetaArgs(1, {(1, 2): s}), 5, 0, None)
+        _grid_sum(RootZetaArgs(1, {(1, 2): s}), 5, 0, None, True)
 
 
 def test_grid_sum_of_a_free_last_index():
-    value = _grid_sum(RootZetaArgs(2, {(1, 2): 2}), 7, 0, None)
+    value = _grid_sum(RootZetaArgs(2, {(1, 2): 2}), 7, 0, None, False)
     assert value == pytest.approx(7 * float(eval_ez_truncated([2], 7, exact=True)), rel=1e-14)
 
 
@@ -323,6 +334,39 @@ def test_grid_sum_memory_is_bounded():
     m2 = np.arange(1.0, M + 1.0)
     want = sum(float((m1**-2.0 * m2**-2.0 * (m1 + m2) ** -2.0).sum()) for m1 in range(1, M + 1))
     assert abs(res.value - want) <= 1e-12 * want
+
+
+def test_exact_grid_sum_memory_is_bounded():
+    # entries are numerators over lcm(1..400)^6, about 480 B each, so the
+    # 40,000-point grid would take 19 MiB at once; blocks of 8 MiB peak near 8.4
+    args = RootZetaArgs.full(2, [2, 2, 2])
+    tracemalloc.start()
+    try:
+        value = eval_root_zeta(args, exact(200)).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert float(value) == pytest.approx(eval_root_zeta(args, floating(200)).value, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "cfg,d,points",
+    [(floating(1000), 0, 1000**3 + 2000**3), (exact(1100), 3, 1101**3)],
+    ids=["floating-at-M-and-2M", "exact-zero-block"],
+)
+def test_an_oversized_box_is_refused_before_any_table(cfg, d, points):
+    # rank 3; floating mode also sums the box at 2M for its estimate, and a
+    # zero-based index takes M + 1 values
+    args = RootZetaArgs.full(3, [2] * 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^job too large \(predicted {points} box points\); lower M$"):
+            eval_root_zeta(args, cfg, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- coupled-truncation chains and the hook rewrite ---

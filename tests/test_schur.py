@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import enumerate_ssyt
 from schurzeta.expressions import evaluate_expr, expand_antihook, truncated_value
 from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig, eval_ez_truncated
-from schurzeta.partitions import Partition, SkewShape, enumerate_ssyt
+from schurzeta.partitions import Partition, SkewShape
 from schurzeta.schur import (
     VariableTableau,
     _RowWindow,
