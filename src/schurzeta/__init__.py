@@ -31,7 +31,6 @@ from .rootzeta import (
     chain_determinant,
     check_root_domain,
     eval_root_zeta,
-    shifted_chain_table,
 )
 from .schur import (
     VariableTableau,
@@ -76,5 +75,4 @@ __all__ = [
     "expand_hook",
     "giambelli_det_expr",
     "normalize",
-    "shifted_chain_table",
 ]

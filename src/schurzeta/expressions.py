@@ -399,11 +399,14 @@ def eval_thm42(
     lam: Partition, assignment: ContentAssignment | Mapping[int, Number], M: int
 ) -> EvalResult:
     """The root-system series form of the Schur sum: an N-fold sum over the
-    diagonal entries m_kk <= M weighted by m^(-z_0), with one weak shifted
-    chain (arm) and one strict shifted chain (leg) per slot, signed over
-    permutations: the determinant rootzeta.chain_determinant takes.
-    Chains share the bound M with the outer sum, so every running value
-    stays <= M.
+    diagonal entries m_kk <= M weighted by m^(-z_0), with one weak chain
+    (arm) and one strict chain (leg) per slot, signed over permutations: the
+    determinant rootzeta.chain_determinant takes. Chains share the bound M
+    with the outer sum, so every running value stays <= M.
+
+    Non-negative integer exponents give the exact Fraction at M with no
+    tail bound, as eval_schur does in exact mode; any other exponents give
+    the floating value with a doubling-consistency estimate.
     """
     if not isinstance(assignment, ContentAssignment):
         assignment = ContentAssignment(assignment)
@@ -422,8 +425,9 @@ def eval_thm42(
             raise ConvergenceError(f"leg chain z_-1..z_-{qj} diverges")
     # picks its own arithmetic, unlike the helpers, as bench/check.py's reference
     # z_0 and the longest arm and leg chains: every exponent the series uses
-    exact = all(exact_exponent(assignment[k]) is not None for k in range(-f.q[0], f.p[0] + 1))
-    res = _doubling_result(lambda m: chain_determinant(f, assignment, m, exact), M)
-    if not exact and isinstance(res.value, complex) and res.value.imag == 0:
+    if all(exact_exponent(assignment[k]) is not None for k in range(-f.q[0], f.p[0] + 1)):
+        return EvalResult(chain_determinant(f, assignment, M, True), None, M)
+    res = _doubling_result(lambda m: chain_determinant(f, assignment, m, False), M)
+    if isinstance(res.value, complex) and res.value.imag == 0:
         res.value = res.value.real
     return res

@@ -11,6 +11,7 @@ repository-wide convention: every running value stays <= M.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -108,9 +109,21 @@ def _product(factors: Sequence[EvalResult]) -> tuple[complex, float]:
 
 
 def value_to_json(v: Number):
-    """Fractions render as 'p/q' strings, complex values as [re, im]."""
+    """Fractions render as 'p/q' strings, complex values as [re, im].
+
+    An exact value can have more digits than CPython's int-to-string limit
+    (4300 by default), so the limit is lifted for this conversion only;
+    parsing input keeps it.
+    """
     if isinstance(v, Fraction):
-        return str(v)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            return str(v)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     if isinstance(v, complex):
         return [v.real, v.imag]
     return v

@@ -14,12 +14,12 @@ _grid_sum, serves both arithmetics: a table of powers per root, and the grid
 of the last two indices summed in numpy by blocks of rows, about (M+1)^(r-2)
 Python steps at rank r. Exact mode runs it on integer numerators.
 
-The chain tables at the bottom implement the coupled truncation used by the
-hook rewrite of Schur sums, where the bound applies to the running values
-x + m_1 + ... + m_k themselves. They are mzv's one chain recurrence run
-down, from the value M, in the arithmetic the caller names;
-chain_determinant assembles them into the Thm 4.2 series of a
-content-parametrized Schur sum.
+chain_determinant is the Thm 4.2 series of a content-parametrized Schur
+sum, whose entries are first-row modified root-system zeta-functions under
+the coupled truncation: the bound M applies to the running values
+x + m_1 + ... + m_k themselves, so a first-row series is a single chain
+of them, and every Schur tableau entry stays <= M. Each chain is mzv's one
+chain kernel run down from the value M, in the arithmetic the caller names.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -122,6 +121,9 @@ def check_root_domain(args: RootZetaArgs) -> bool:
 _GRID_BLOCK = 1 << 20
 # box points one job may sum, at M and at 2M when floating (~8 s of floats)
 _MAX_BOX_POINTS = 1 << 30
+# exact box points times the bits of their denominator: at 1.4-3.6 ns per
+# point-bit (2 vCPU), at most about 15 s of numerators
+_MAX_EXACT_POINT_BITS = 1 << 32
 
 
 def _grid_sum(args: RootZetaArgs, M: int, d: int, x, exact: bool) -> Number:
@@ -137,16 +139,22 @@ def _grid_sum(args: RootZetaArgs, M: int, d: int, x, exact: bool) -> Number:
     Exact mode (integer s >= 0, x = p/q) runs the same loop on numerators:
     with L the lcm of the bases B = q*v + p, a table holds (q*L // B)^s over
     L^s, and L^s at base 0, so the box is one Fraction over L^(sum of s).
+    A point's cost grows with the bits of that denominator, so an exact box
+    is refused by points times bits, before any table is built.
     """
     r = args.r
+    lo = [0 if k <= d else 1 for k in range(1, r + 1)]
     if exact:
         exponents = _exact_exponents(args.s.values())
         p, q = (0, 1) if x is None else Fraction(x).as_integer_ratio()
         bases = range(p, p + q * r * M + 1, q)
         L = math.lcm(*filter(None, bases))
+        D = L ** sum(exponents)
+        points, bits = math.prod(M + 1 - b for b in lo), D.bit_length()
+        if points * bits > _MAX_EXACT_POINT_BITS:
+            raise ValueError(f"job too large (predicted {points} box points of {bits}-bit numerators); lower M")
         quotients = [q * L // B if B else L for B in bases]
         tables = {pair: np.array([n**s for n in quotients], dtype=object) for pair, s in zip(args.s, exponents) if s}
-        D = L ** sum(exponents)
         dtype, elems = object, _GRID_BLOCK * 8 // (8 + sys.getsizeof(D))
     else:
         tables = {
@@ -155,7 +163,6 @@ def _grid_sum(args: RootZetaArgs, M: int, d: int, x, exact: bool) -> Number:
             for pair, s in args.s.items() if s != 0
         }
         dtype, elems = np.result_type(float, *tables.values()), _GRID_BLOCK
-    lo = [0 if k <= d else 1 for k in range(1, r + 1)]
     cols = np.arange(lo[-1], M + 1)  # m_r
     # m_{r-1}; rank 1 has none, and its one row of zeros is read by no factor
     rows = np.arange(lo[-2], M + 1) if r > 1 else np.zeros(1, dtype=int)
@@ -215,43 +222,6 @@ def eval_root_zeta(args: RootZetaArgs, cfg: TruncationConfig, d: int = 0, x=None
     return _doubling_result(lambda m: _grid_sum(args, m, d, x, False), cfg.M, note=note)
 
 
-# ---------------------------------------------------------------------------
-# Coupled truncation. For first-row-only variables the series collapse to a
-# single chain of running values n_k = x + m_1 + ... + m_k, so the first-row
-# zeta-bullet-H is a weak chain x <= n_1 <= ... <= n_p and the first-row
-# zeta-H is a strict chain x < n_1 < ... < n_q. Truncating the chain at M is
-# what keeps every Schur tableau entry <= M in the hook rewrite.
-# ---------------------------------------------------------------------------
-
-
-def shifted_chain_table(svals: Sequence[Number], M: int, weak: bool, exact: bool):
-    """Table T with T[v] = sum over v <=/< n_1 <=/< ... <= M of prod n_t^(-s_t),
-    for v = 0..M+1 (T[0] clamps the lower bound to 1).
-
-    A list of Fractions when exact (non-negative integer exponents only),
-    else a numpy array. The table is mzv's chain recurrence run down: entry
-    v - 1 of its running sums from v = M sums the chains whose first index
-    is v or more, which is T[v] for the weak chain and T[v - 1] for the
-    strict.
-    """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    svals = tuple(svals)
-    if not svals:
-        return [Fraction(1)] * (M + 2) if exact else np.ones(M + 2)
-    terms, rest = _chains(svals, M, weak, exact, down=True)
-    sums = _running_sums(terms, down=True)
-    if exact:
-        sums = [Fraction(n, rest) for n in sums]
-        T = [Fraction(0)] * (M + 2)
-    else:
-        T = np.zeros(M + 2, dtype=sums.dtype)
-    lo = 1 if weak else 0
-    T[lo : M + lo] = sums
-    T[0] = T[lo]
-    return T
-
-
 def _det(rows):
     """Determinant by elimination with partial pivoting: exact on Fractions,
     otherwise in the precision of the entries."""
@@ -279,32 +249,39 @@ def chain_determinant(frobenius: FrobeniusForm, assignment: ContentAssignment, M
         sum over m <= M of m^(-z_0) * strict chain above m over z_-1..z_-q_j
                                     * weak chain from m over z_1..z_p_k.
 
-    It equals the Schur sum with every entry <= M. exact=True sums in
-    Fractions (integer exponents only). exact=False works in floating point
-    whatever the exponents: double-precision chain tables, and the matrix
-    and its determinant in numpy's longdouble.
+    Both chains share the bound M with m (the coupled truncation), so the
+    series equals the Schur sum with every entry <= M. Each comes straight
+    from mzv's chain kernel run down from the value M: the leg's terms over
+    (z_0, z_-1, ..., z_-q_j), and the running sums of the arm's weak terms.
+    The matrix is legs @ arms.T in either arithmetic. exact=True (integer
+    exponents only) forms it from integer numerators; every permutation
+    term then has the product of the chains' denominators, so one Fraction
+    determinant is divided by it once. exact=False works in floating point
+    whatever the exponents: double-precision chains, and the matrix and its
+    determinant in numpy's longdouble.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    arms = [
-        shifted_chain_table(assignment.sequence(range(1, p + 1)), M, weak=True, exact=exact)[1 : M + 1]
-        for p in frobenius.p
-    ]
-    legs = [
-        shifted_chain_table(assignment.sequence(range(-1, -q - 1, -1)), M, weak=False, exact=exact)[1 : M + 1]
-        for q in frobenius.q
-    ]
+    legs, arms, rests = [], [], []
+    for q in frobenius.q:
+        terms, rest = _chains(assignment.sequence(range(0, -q - 1, -1)), M, False, exact, down=True)
+        legs.append(terms)
+        rests.append(rest)
+    for p in frobenius.p:
+        if not p:
+            arms.append(np.ones(M, dtype=object if exact else float))
+            continue
+        terms, rest = _chains(assignment.sequence(range(1, p + 1)), M, True, exact, down=True)
+        arms.append(_running_sums(terms, down=True))
+        rests.append(rest)
+    legs, arms = np.stack(legs), np.stack(arms)
     if exact:
-        [e] = _exact_exponents([assignment[0]])
-        legs = [[v / m**e for m, v in enumerate(leg, 1)] for leg in legs]
-        return _det([[sum(map(mul, leg, arm), Fraction(0)) for arm in arms] for leg in legs])
-    legs, arms = np.stack(legs) * _pow_vector(assignment[0], M), np.stack(arms)
+        return _det([list(map(Fraction, row)) for row in (legs @ arms.T).tolist()]) / math.prod(rests)
     # the determinant can be ~1e4 times smaller than its terms ((3,3) with
     # z_-1..z_2 = 1, 4, 4, 1 at M = 30), which costs four digits in double
-    # precision. Rounding in the tables is not amplified that way, only
+    # precision. Rounding in the chains is not amplified that way, only
     # rounding in the entries and the elimination, so those run in extended
     # precision (plain double where numpy's longdouble is double).
     ext = np.clongdouble if np.iscomplexobj(legs) or np.iscomplexobj(arms) else np.longdouble
     det = _det(legs.astype(ext) @ arms.T.astype(ext))
     return complex(det) if ext is np.clongdouble else float(det)
-

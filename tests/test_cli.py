@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from schurzeta import cli
 from schurzeta.cli import JobSpec, UsageError, run
-from schurzeta.mzv import TruncationConfig
+from schurzeta.mzv import ContentAssignment, TruncationConfig
+from schurzeta.partitions import FrobeniusForm
+from schurzeta.rootzeta import chain_determinant
 
 
 def test_verify_hook1_exact(capsys):
@@ -126,6 +129,25 @@ def test_exact_reports_are_deterministic(capsys):
     first.pop("wall_time_s")
     second.pop("wall_time_s")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def test_an_exact_value_past_the_int_digit_limit_is_reported(capsys):
+    # p/q has about 10,000 digits here, past CPython's default int-to-string
+    # limit of 4300; a reader lifts the limit to parse it back
+    argv = ["eval-schur", "--shape", "2,1", "--content", "0=3,1=2,-1=2", "--M", "2000", "--exact"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert cli.main(argv) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    out = json.loads(capsys.readouterr().out)["results"]
+    assert out["path"] == "chain-determinant" and len(out["value"]) > 4300
+    want = chain_determinant(FrobeniusForm((1,), (1,)), ContentAssignment({0: 3, 1: 2, -1: 2}), 2000, True)
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(out["value"]) == want
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_plain_format(capsys):

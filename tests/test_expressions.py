@@ -271,7 +271,8 @@ def test_empty_expression_evaluates_to_zero():
 def test_thm42_single_cell_is_riemann():
     res = eval_thm42(Partition((1,)), {0: 3}, 40)
     assert res.value == eval_ez_truncated([3], 40, exact=True)
-    assert res.heuristic
+    # exact, as eval_schur in exact mode: the value at M and no estimate
+    assert res.tail_bound is None and not res.heuristic
 
 
 def test_thm42_hook_matches_tableau():

@@ -17,7 +17,6 @@ from schurzeta.rootzeta import (
     chain_determinant,
     check_root_domain,
     eval_root_zeta,
-    shifted_chain_table,
 )
 from schurzeta.schur import VariableTableau, eval_schur_truncated
 
@@ -351,17 +350,22 @@ def test_exact_grid_sum_memory_is_bounded():
 
 
 @pytest.mark.parametrize(
-    "cfg,d,points",
-    [(floating(1000), 0, 1000**3 + 2000**3), (exact(1100), 3, 1101**3)],
-    ids=["floating-at-M-and-2M", "exact-zero-block"],
+    "cfg,d,predicted",
+    [
+        (floating(1000), 0, f"{1000**3 + 2000**3} box points"),
+        (exact(1100), 3, f"{1101**3} box points"),
+        # under 2^30 points, but each carries numerators over lcm(1..3000)^12
+        (exact(1000), 0, f"{1000**3} box points of 51956-bit numerators"),
+    ],
+    ids=["floating-at-M-and-2M", "exact-zero-block", "exact-numerator-bits"],
 )
-def test_an_oversized_box_is_refused_before_any_table(cfg, d, points):
+def test_an_oversized_box_is_refused_before_any_table(cfg, d, predicted):
     # rank 3; floating mode also sums the box at 2M for its estimate, and a
     # zero-based index takes M + 1 values
     args = RootZetaArgs.full(3, [2] * 6)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=rf"^job too large \(predicted {points} box points\); lower M$"):
+        with pytest.raises(ValueError, match=rf"^job too large \(predicted {predicted}\); lower M$"):
             eval_root_zeta(args, cfg, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -372,37 +376,48 @@ def test_an_oversized_box_is_refused_before_any_table(cfg, d, points):
 # --- coupled-truncation chains and the hook rewrite ---
 
 
+def hook_determinant(z0, arm, leg, M, exact):
+    """chain_determinant of the hook (p | q) whose arm carries z_1..z_p and
+    whose leg carries z_-1..z_-q: its one entry."""
+    z = {0: z0, **dict(zip(range(1, len(arm) + 1), arm)), **dict(zip(range(-1, -len(leg) - 1, -1), leg))}
+    return chain_determinant(FrobeniusForm((len(arm),), (len(leg),)), ContentAssignment(z), M, exact)
+
+
 def test_chain_tables_against_brute_force():
+    # the hook (2 | 2): sum over m of m^-2 times the strict chains
+    # m < n_1 < n_2 and the weak chains m <= k_1 <= k_2, all <= M
     M = 9
-    weak = shifted_chain_table([2, 3], M, weak=True, exact=True)
-    strict = shifted_chain_table([2, 3], M, weak=False, exact=True)
-    for x in range(0, M + 1):
-        lo = max(x, 1)
-        w = sum(
-            Fraction(1, n1**2 * n2**3)
-            for n1 in range(lo, M + 1)
-            for n2 in range(n1, M + 1)
-        )
-        s = sum(
-            Fraction(1, n1**2 * n2**3)
-            for n1 in range(x + 1, M + 1)
-            for n2 in range(n1 + 1, M + 1)
-        )
-        assert weak[x] == w
-        assert strict[x] == s
+    want = sum(
+        Fraction(1, m**2 * n1**2 * n2**3 * k1**2 * k2**3)
+        for m in range(1, M + 1)
+        for n1 in range(m + 1, M + 1)
+        for n2 in range(n1 + 1, M + 1)
+        for k1 in range(m, M + 1)
+        for k2 in range(k1, M + 1)
+    )
+    assert hook_determinant(2, [2, 3], [2, 3], M, True) == want
 
 
 def test_chain_tables_float_matches_exact():
     M = 30
-    for weak in (True, False):
-        exact = shifted_chain_table([2, 2], M, weak=weak, exact=True)
-        floating = shifted_chain_table([2.0, 2.0], M, weak=weak, exact=False)
-        for x in (0, 1, 5, M):
-            assert float(exact[x]) == pytest.approx(floating[x], rel=1e-12)
+    for arm, leg in (([2, 2], []), ([], [2, 2]), ([2, 2], [2, 2]), ([2], [2, 2])):
+        exact = hook_determinant(2, arm, leg, M, True)
+        floating = hook_determinant(2.0, [float(v) for v in arm], [float(v) for v in leg], M, False)
+        assert float(exact) == pytest.approx(floating, rel=1e-12)
 
 
-def test_empty_chain_is_one():
-    assert all(v == 1 for v in shifted_chain_table([], 5, weak=True, exact=True))
+def test_a_row_and_a_column_are_euler_zagier_sums():
+    # the row (p+1) is zeta-star(z_0, ..., z_p), the column (1^(q+1)) is
+    # zeta(z_0, z_-1, ..., z_-q): an empty leg or arm weighs 1
+    svals = [3, 1, 2, 2]
+    for M in (1, 2, 7):
+        for n in range(4):
+            assert hook_determinant(svals[0], svals[1 : n + 1], [], M, True) == eval_ez_truncated(
+                svals[: n + 1], M, star=True, exact=True
+            )
+            assert hook_determinant(svals[0], [], svals[1 : n + 1], M, True) == eval_ez_truncated(
+                svals[: n + 1], M, exact=True
+            )
 
 
 def reference_float_chain_table(svals, M, weak):
@@ -451,39 +466,70 @@ CHAIN_EXPONENTS = st.one_of(
 )
 
 
-@given(st.lists(CHAIN_EXPONENTS, max_size=4), st.integers(min_value=1, max_value=2000), st.booleans())
-@example([], 3, True)
-@example([], 3, False)
-@example([2 + 1j, 3.0, 2, 1.5], 1, False)
-@example([2 + 1j, 3.0, 2, 1.5], 1, True)
-@example([2.5, 2 - 1j, 3], 2, False)
-@example([3, 2 + 0j], 2, True)
+@given(
+    CHAIN_EXPONENTS,
+    st.lists(CHAIN_EXPONENTS, max_size=3),
+    st.lists(CHAIN_EXPONENTS, max_size=3),
+    st.integers(min_value=1, max_value=2000),
+)
+@example(2, [], [], 3)
+@example(2 + 1j, [3.0, 2], [2, 1.5], 1)
+@example(1.5, [2.5, 2 - 1j], [3], 2)
+@example(3, [2 + 0j], [2 + 0j], 2)
 @settings(max_examples=200, deadline=None)
-def test_float_chain_table_is_bit_identical_to_the_backward_cumsum(svals, M, weak):
-    table = shifted_chain_table(svals, M, weak=weak, exact=False)
-    ref = reference_float_chain_table(svals, M, weak)
-    assert table.shape == (M + 2,) and table.dtype == ref.dtype
-    assert np.array_equal(table, ref)
+def test_float_chain_determinant_matches_the_backward_cumsum(z0, arm, leg, M):
+    value = hook_determinant(z0, arm, leg, M, False)
+    m = np.arange(1.0, M + 1.0)
+    weight = np.exp(-z0 * np.log(m)) if isinstance(z0, complex) and z0.imag else m ** (-float(complex(z0).real))
+    terms = (
+        weight
+        * reference_float_chain_table(leg, M, weak=False)[1 : M + 1]
+        * reference_float_chain_table(arm, M, weak=True)[1 : M + 1]
+    )
+    # a complex exponent with imaginary part 0 counts as real
+    assert type(value) is (complex if np.iscomplexobj(terms) else float)
+    # relative to the sum of the terms' sizes, which is the value's own size
+    # unless complex terms cancel
+    assert abs(value - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
 
 @given(
-    st.lists(st.integers(min_value=0, max_value=4), max_size=4),
+    st.integers(min_value=0, max_value=4),
+    st.lists(st.integers(min_value=0, max_value=4), max_size=3),
+    st.lists(st.integers(min_value=0, max_value=4), max_size=3),
     st.integers(min_value=1, max_value=40),
-    st.booleans(),
 )
-@example([], 3, True)
-@example([], 3, False)
-@example([2, 3, 1], 1, False)
-@example([2, 3, 1], 1, True)
-@example([1, 3], 2, False)
-@example([1, 3], 2, True)
+@example(2, [], [], 3)
+@example(2, [2, 3, 1], [1, 3], 1)
+@example(0, [1, 3], [2, 3, 1], 2)
 @settings(max_examples=150, deadline=None)
-def test_exact_chain_table_equals_the_fraction_loop(svals, M, weak):
-    table = shifted_chain_table(svals, M, weak=weak, exact=True)
-    ref = reference_exact_chain_table(svals, M, weak)
-    assert len(table) == M + 2
-    assert all(type(v) is Fraction for v in table)
-    assert table == ref
+def test_exact_chain_table_equals_the_fraction_loop(z0, arm, leg, M):
+    strict = reference_exact_chain_table(leg, M, weak=False)
+    weak = reference_exact_chain_table(arm, M, weak=True)
+    want = sum((Fraction(strict[m] * weak[m], m**z0) for m in range(1, M + 1)), Fraction(0))
+    value = hook_determinant(z0, arm, leg, M, True)
+    assert type(value) is Fraction and value == want
+
+
+@st.composite
+def content_shapes(draw):
+    """A straight shape of at most 8 cells with an integer z_k per content."""
+    rows = [draw(st.integers(min_value=1, max_value=8))]
+    while sum(rows) < 8 and draw(st.booleans()):
+        rows.append(draw(st.integers(min_value=1, max_value=min(rows[-1], 8 - sum(rows)))))
+    lam = Partition(tuple(rows))
+    z = {k: draw(st.integers(min_value=0, max_value=4)) for k in range(1 - len(rows), rows[0])}
+    return lam, z
+
+
+@given(content_shapes(), st.integers(min_value=1, max_value=5))
+@example((Partition((3, 2, 1)), {0: 2, 1: 3, 2: 2, -1: 2, -2: 3}), 5)
+@example((Partition((2, 2)), {0: 0, 1: 0, -1: 0}), 3)
+@settings(max_examples=150, deadline=None)
+def test_exact_chain_determinant_equals_the_row_window(shape, M):
+    lam, z = shape
+    value = chain_determinant(lam.frobenius(), ContentAssignment(z), M, True)
+    assert value == eval_schur_truncated(VariableTableau.from_content(lam, z), M, exact=True)
 
 
 @pytest.mark.parametrize(
@@ -491,9 +537,9 @@ def test_exact_chain_table_equals_the_fraction_loop(svals, M, weak):
     [
         lambda: eval_ez_truncated([2], 10),
         lambda: eval_schur_truncated(VariableTableau.from_content(Partition((1,)), {0: 2}), 10),
-        lambda: shifted_chain_table([2], 10, weak=True),
+        lambda: chain_determinant(FrobeniusForm((0,), (0,)), ContentAssignment({0: 2}), 10),
     ],
-    ids=["eval_ez_truncated", "eval_schur_truncated", "shifted_chain_table"],
+    ids=["eval_ez_truncated", "eval_schur_truncated", "chain_determinant"],
 )
 def test_helpers_take_their_arithmetic_from_the_caller(call):
     with pytest.raises(TypeError, match="exact"):
@@ -504,7 +550,7 @@ def test_exact_helpers_refuse_non_integer_exponents():
     with pytest.raises(ValueError, match="non-negative integer"):
         eval_ez_truncated([2.5], 10, exact=True)
     with pytest.raises(ValueError, match="non-negative integer"):
-        shifted_chain_table([2, 2.5], 10, weak=False, exact=True)
+        hook_determinant(2, [2], [2, 2.5], 10, True)
 
 
 def test_hook_rewrite_matches_tableau_sum():
