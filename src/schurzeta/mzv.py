@@ -85,9 +85,10 @@ class EvalResult:
 
 def _doubling_result(evaluate, M: int, note: str = "", path: str = "") -> EvalResult:
     """The truncated value at M with twice its distance to the value at 2M
-    as a heuristic tail estimate."""
-    v1 = evaluate(M)
+    as a heuristic tail estimate. The larger pass runs first, so an input
+    refused at 2M is refused before the pass at M is spent."""
     v2 = evaluate(2 * M)
+    v1 = evaluate(M)
     estimate = 2.0 * abs(complex(v2) - complex(v1))
     return EvalResult(v1, estimate, M, heuristic=True, note=note, path=path)
 

@@ -386,7 +386,7 @@ def test_eval_schur_cli(tmp_path, capsys):
                      "--content", "0=3,1=2,-1=2", "--M", "50"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert out["results"]["path"] == "antihook"
+    assert out["results"]["path"] == "row-window"
     job = {
         "command": "eval-schur",
         "params": {"shape": "2,2", "cells": {"1,1": 3, "1,2": 2, "2,1": 2, "2,2": 2}},
