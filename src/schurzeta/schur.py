@@ -191,7 +191,7 @@ class _RowWindow:
                 np.add.accumulate(state, axis=t, out=state)
             # the new value v reads a weak sum at v and a strict one at v - 1
             idx = tuple(np.arange(M) - (lab == consume_strict) for lab in consumed)
-            self.state = None
+            self.state = None  # so the old state is freed once the gather has read it
             state = np.moveaxis(np.moveaxis(state, ts, range(len(ts)))[idx], 0, -1)
             if consume_strict is not None:
                 state[..., 0] = 0
