@@ -7,13 +7,13 @@ from .expressions import (
     HookEntry,
     ZetaSymbol,
     eval_thm42,
-    evaluate_expr,
     expand_antihook,
     expand_giambelli,
     expand_giambelli_terms,
     expand_hook,
     giambelli_det_expr,
     normalize,
+    truncated_value,
 )
 from .mzv import (
     ContentAssignment,
@@ -68,11 +68,11 @@ __all__ = [
     "eval_schur",
     "eval_schur_truncated",
     "eval_thm42",
-    "evaluate_expr",
     "expand_antihook",
     "expand_giambelli",
     "expand_giambelli_terms",
     "expand_hook",
     "giambelli_det_expr",
     "normalize",
+    "truncated_value",
 ]

@@ -138,7 +138,8 @@ def _env(name: str, default, cast):
 # ---------------------------------------------------------------------------
 
 # the JSON types each parameter takes, null counting as absent; integers and
-# partitions may also come as text, such as "2" or "2,2"
+# partitions may also come as text, such as "2" or "2,2". Each parameter but
+# eval-schur's cells is also the flag of the same name.
 _ARRAY, _BOOL, _TEXT, _WHOLE, _MAPPING = (list,), (bool,), (str,), (int, str), (dict, str)
 _COMMAND_PARAMS = {
     "eval-mzv": {"args": _ARRAY, "star": _BOOL},
@@ -485,8 +486,8 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--shape", default=None)
-    p.add_argument("--reversed", dest="reversed_", action="store_true",
-                   help="swap the roles of zeta and zeta-star")
+    p.add_argument("--reversed", dest="variant", action="store_const", const="reversed",
+                   default="standard", help="swap the roles of zeta and zeta-star")
     p.add_argument("--collected", action="store_true", help="normalize (collect like terms)")
     _add_common(p)
 
@@ -529,44 +530,17 @@ def _spec_from_namespace(ns) -> JobSpec:
     except ValueError as err:
         raise UsageError(f"bad cfg: {err}") from None
     output = ns.format if ns.format is not None else _env("FORMAT", DEFAULTS["format"], str)
-    params: dict = {}
-    if ns.command == "eval-mzv":
-        params = {"args": _parse_number_list(ns.args), "star": ns.star}
-    elif ns.command == "eval-schur":
-        params = {
-            "shape": ns.shape,
-            "inner": ns.inner,
-            "content": _parse_content(ns.content) if ns.content else None,
-        }
-    elif ns.command == "eval-rootzeta":
-        params = {
-            "rank": ns.rank,
-            "variant": ns.variant,
-            "svars": _parse_number_list(ns.svars) if ns.svars else None,
-            "first_row": _parse_number_list(ns.first_row) if ns.first_row else None,
-            "d": ns.d,
-            "x": ns.x,
-        }
-    elif ns.command == "expand":
-        params = {
-            "target": ns.target,
-            "p": ns.p,
-            "q": ns.q,
-            "shape": ns.shape,
-            "variant": "reversed" if ns.reversed_ else "standard",
-            "collected": ns.collected,
-        }
-    elif ns.command == "verify":
-        params = {
-            "identity": ns.identity,
-            "p": ns.p,
-            "q": ns.q,
-            "shape": ns.shape,
-            "content": _parse_content(ns.content) if ns.content else None,
-            "bottom": _parse_number_list(ns.bottom) if ns.bottom else None,
-            "column": _parse_number_list(ns.column) if ns.column else None,
-        }
-    params = {k: v for k, v in params.items() if v is not None}
+    params = {}
+    for name, types in _COMMAND_PARAMS[ns.command].items():
+        value = getattr(ns, name, None)
+        if (types is _ARRAY or types is _MAPPING) and value is not None:
+            # empty text of an optional flag counts as absent; --args is
+            # required, so its empty text is the empty exponent sequence
+            if not value and name != "args":
+                continue
+            value = _parse_number_list(value) if types is _ARRAY else _parse_content(value)
+        if value is not None:
+            params[name] = value
     return JobSpec(ns.command, params, cfg, output)
 
 

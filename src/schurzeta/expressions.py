@@ -10,22 +10,18 @@ arguments, so degenerate trailing factors are simply omitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .mzv import (
     ConvergenceError,
     ContentAssignment,
     EvalResult,
     Number,
-    TruncationConfig,
-    _arithmetic,
     _doubling_result,
-    _product,
     check_ez_domain,
-    eval_ez,
     eval_ez_truncated,
     exact_exponent,
 )
@@ -125,18 +121,6 @@ class FormalExpr:
             {"coeff": t.coefficient, "factors": [f.to_json() for f in t.factors]}
             for t in self.terms
         ]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> "FormalExpr":
-        return cls(
-            tuple(
-                FormalTerm(
-                    int(t["coeff"]),
-                    tuple(ZetaSymbol(f["kind"], tuple(f["args"])) for f in t["factors"]),
-                )
-                for t in data
-            )
-        )
 
     def render(self, symbol: Callable[[ZetaSymbol], str], times: str, scale: str) -> str:
         """The signed terms: the coefficient's magnitude and `scale` unless it
@@ -354,45 +338,6 @@ def truncated_value(expr: FormalExpr, assignment: ContentAssignment, M: int, exa
             val *= cache[f]
         total += val
     return total
-
-
-def evaluate_expr(
-    expr: FormalExpr, assignment: ContentAssignment | Mapping[int, Number], cfg: TruncationConfig
-) -> EvalResult:
-    """Sum of coefficient times product of factor values.
-
-    Exact mode returns the exact rational combination of truncated factor
-    sums; floating mode propagates the factor tail bounds first order through
-    each product and adds them with absolute coefficients.
-    """
-    if not isinstance(assignment, ContentAssignment):
-        assignment = ContentAssignment(assignment)
-    exact, note = _arithmetic(
-        cfg, (v for t in expr.terms for f in t.factors for v in assignment.sequence(f.args))
-    )
-    if exact:
-        return EvalResult(truncated_value(expr, assignment, cfg.M, exact=True), None, cfg.M)
-    cfg = replace(cfg, mode="floating")
-    results: dict[ZetaSymbol, EvalResult] = {}
-    for t in expr.terms:
-        for f in t.factors:
-            if f in results:
-                continue
-            values = assignment.sequence(f.args)
-            try:
-                results[f] = eval_ez(values, cfg, star=f.kind == "star")
-            except ConvergenceError:
-                raise ConvergenceError(
-                    f"factor {f.kind} {f.plain()} = {f.name}{values} diverges"
-                ) from None
-    total = 0.0 + 0.0j
-    bound = 0.0
-    for t in expr.terms:
-        term, term_bound = _product([results[f] for f in t.factors])
-        total += t.coefficient * term
-        bound += abs(t.coefficient) * term_bound
-    value = total.real if total.imag == 0 else total
-    return EvalResult(value, bound, cfg.M, note=note)
 
 
 def eval_thm42(

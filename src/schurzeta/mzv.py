@@ -93,22 +93,6 @@ def _doubling_result(evaluate, M: int, note: str = "", path: str = "") -> EvalRe
     return EvalResult(v1, estimate, M, heuristic=True, note=note, path=path)
 
 
-def _product(factors: Sequence[EvalResult]) -> tuple[complex, float]:
-    """The product of the factor values, and its tail bound propagated to
-    first order from the factors' bounds."""
-    value = 1.0 + 0.0j
-    for f in factors:
-        value *= complex(f.value)
-    bound = 0.0
-    for i, f in enumerate(factors):
-        others = 1.0
-        for j, g in enumerate(factors):
-            if j != i:
-                others *= abs(complex(g.value))
-        bound += (f.tail_bound or 0.0) * others
-    return value, bound
-
-
 def value_to_json(v: Number):
     """Fractions render as 'p/q' strings, complex values as [re, im].
 
@@ -172,20 +156,6 @@ class ContentAssignment:
 
     def sequence(self, indices: Sequence[int]) -> tuple[Number, ...]:
         return tuple(self[k] for k in indices)
-
-    def to_json(self) -> dict:
-        return {str(k): value_to_json(v) for k, v in sorted(self.values.items())}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "ContentAssignment":
-        vals: dict[int, Number] = {}
-        for k, v in data.items():
-            if isinstance(v, (list, tuple)):
-                re, im = v
-                vals[int(k)] = complex(re, im) if im else float(re)
-            else:
-                vals[int(k)] = v
-        return cls(vals)
 
 
 def check_ez_domain(s: Sequence[Number]) -> bool:

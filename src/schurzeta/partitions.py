@@ -8,7 +8,7 @@ elsewhere in the package are keyed on that number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,6 @@ class Partition:
     def as_skew(self) -> "SkewShape":
         return SkewShape(self, Partition(()))
 
-    def to_json(self) -> list[int]:
-        return list(self.parts)
-
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> "Partition":
-        return cls(tuple(data))
-
     @staticmethod
     def hook(p: int, q: int) -> "Partition":
         """The hook shape (p+1, 1^q) with arm p and leg q."""
@@ -195,13 +188,6 @@ class SkewShape:
 
     def is_straight(self) -> bool:
         return self.inner.size == 0
-
-    def to_json(self) -> dict:
-        return {"outer": self.outer.to_json(), "inner": self.inner.to_json()}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "SkewShape":
-        return cls(Partition.from_json(data["outer"]), Partition.from_json(data.get("inner", [])))
 
     def __repr__(self) -> str:
         if self.is_straight():

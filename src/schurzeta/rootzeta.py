@@ -64,7 +64,6 @@ class RootZetaArgs:
 
     r: int
     s: dict[tuple[int, int], Number]
-    first_row_only: bool = False
 
     def __post_init__(self):
         if self.r < 1:
@@ -88,17 +87,10 @@ class RootZetaArgs:
         r = len(values)
         if r < 1:
             raise ValueError("need at least one variable")
-        return cls(r, {(1, j): values[j - 2] for j in range(2, r + 2)}, first_row_only=True)
+        return cls(r, {(1, j): values[j - 2] for j in range(2, r + 2)})
 
     def value(self, i: int, j: int) -> Number:
         return self.s.get((i, j), 0)
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.r,
-            "s": {f"{i},{j}": v for (i, j), v in sorted(self.s.items())},
-            "first_row_only": self.first_row_only,
-        }
 
 
 def check_root_domain(args: RootZetaArgs) -> bool:

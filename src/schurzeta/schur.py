@@ -78,30 +78,6 @@ class VariableTableau:
     def value(self, i: int, j: int) -> Number:
         return self.cell_values[(i, j)]
 
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape.to_json(),
-            "cells": {f"{i},{j}": v if not isinstance(v, complex) else [v.real, v.imag]
-                      for (i, j), v in sorted(self.cell_values.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "VariableTableau":
-        """Accepts the content form {"shape": ..., "content": {...}} and the
-        per-cell form {"shape": ..., "cells": {"i,j": value}}."""
-        raw_shape = data["shape"]
-        if isinstance(raw_shape, Mapping):
-            shape = SkewShape.from_json(raw_shape)
-        else:
-            shape = SkewShape(Partition.from_json(raw_shape))
-        if "content" in data:
-            return cls.from_content(shape, ContentAssignment.from_json(data["content"]))
-        cells = {}
-        for key, v in data["cells"].items():
-            i, j = (int(t) for t in str(key).split(","))
-            cells[(i, j)] = complex(*v) if isinstance(v, (list, tuple)) else v
-        return cls(shape, cells)
-
 
 def check_W_lambda(vt: VariableTableau) -> bool:
     """Convergence region: real part >= 1 everywhere, > 1 at every corner."""

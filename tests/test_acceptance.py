@@ -13,13 +13,13 @@ from itertools import combinations
 from oracles import enumerate_ssyt, expand_grid_determinant
 from schurzeta.expressions import (
     eval_thm42,
-    evaluate_expr,
     expand_antihook,
     expand_giambelli,
     expand_hook,
     giambelli_det_expr,
+    truncated_value,
 )
-from schurzeta.mzv import TruncationConfig, eval_ez, eval_ez_truncated
+from schurzeta.mzv import ContentAssignment, TruncationConfig, eval_ez, eval_ez_truncated
 from schurzeta.partitions import FrobeniusForm, Partition
 from schurzeta.rootzeta import RootZetaArgs, canonical_pairs, eval_root_zeta
 from schurzeta.schur import (
@@ -57,14 +57,13 @@ def test_criterion_1_hook_identities_exact():
                 z = {k: rng.choice([1, 2, 3]) for k in range(-q, p + 1)}
                 z[p] = rng.choice([2, 3])   # corner at the end of the arm
                 z[-q] = rng.choice([2, 3])  # corner at the end of the leg
-                draws.append(z)
+                draws.append(ContentAssignment(z))
             for z in draws:
                 vt = VariableTableau.from_content(Partition.hook(p, q), z)
                 for M in (4, 6, 8):
-                    cfg = TruncationConfig(M=M, mode="exact")
                     lhs = eval_schur_truncated(vt, M, exact=True)
                     for variant in ("hook1", "hook2"):
-                        rhs = evaluate_expr(expand_hook(p, q, variant), z, cfg).value
+                        rhs = truncated_value(expand_hook(p, q, variant), z, M, exact=True)
                         if lhs != rhs:
                             failures.append((variant, p, q, M, z))
     _report(1, "hook identities exact at truncation", failures)
@@ -82,7 +81,7 @@ def test_criterion_2_antihook_exact():
                 expr, z = expand_antihook(k, l), _antihook_content(bottom, column)
                 for M in (4, 6):
                     lhs = brute_force_skew(vt, M)
-                    rhs = evaluate_expr(expr, z, TruncationConfig(M=M, mode="exact")).value
+                    rhs = truncated_value(expr, ContentAssignment(z), M, exact=True)
                     if lhs != rhs:
                         failures.append((k, l, M, bottom, column))
     _report(2, "anti-hook identity exact at truncation", failures)
@@ -108,18 +107,19 @@ def test_criterion_3_giambelli_structural():
 
 
 def test_criterion_4_giambelli_numerical():
+    # both sides are truncated at M, where the identity holds exactly, so they
+    # differ by rounding alone
     z = {0: 3, 1: 2, 2: 2, -1: 2, -2: 2}
-    cfg = TruncationConfig(M=2000)
+    M = 2000
     failures = []
     for parts in [(2, 2), (3, 1), (2, 2, 1), (3, 2, 1)]:
         lam = Partition(parts)
-        schur = eval_schur(VariableTableau.from_content(lam, z), cfg)
-        expr = evaluate_expr(expand_giambelli(lam), z, cfg)
-        diff = abs(complex(schur.value) - complex(expr.value))
-        combined = (schur.tail_bound or 0.0) + (expr.tail_bound or 0.0)
-        if diff > combined or diff > 1e-4:
-            failures.append((parts, diff, combined))
-    _report(4, "Giambelli numerical identity at M=2000, diff <= 1e-4", failures)
+        schur = eval_schur(VariableTableau.from_content(lam, z), TruncationConfig(M=M)).value
+        expr = truncated_value(expand_giambelli(lam), ContentAssignment(z), M, exact=False)
+        rel = abs(complex(schur) - complex(expr)) / abs(complex(expr))
+        if rel > 1e-12:
+            failures.append((parts, rel))
+    _report(4, f"Giambelli numerical identity at M={M}, relative diff <= 1e-12", failures)
 
 
 def test_criterion_5_root_system_numerical():
@@ -199,7 +199,7 @@ def test_criterion_7_exact_algebraic_suite():
         args = RootZetaArgs.full(r, [rng.choice([2, 3]) for _ in range(n_vars)])
         cfg = TruncationConfig(rng.randint(2, 4), "exact")
         if eval_root_zeta(args, cfg, d=0).value != eval_root_zeta(args, cfg).value:
-            failures.append(("d0", args.to_json(), cfg.M))
+            failures.append(("d0", args, cfg.M))
         cases += 1
 
     for _ in range(60):  # first-row-only agreement, bit for bit

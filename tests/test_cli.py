@@ -119,6 +119,36 @@ def test_report_round_trips_to_jobspec(capsys):
     assert spec.cfg == TruncationConfig(M=50, mode="exact", tolerance=1e-8)
 
 
+# one argv per command with every flag it takes, and the params each report echoes
+FLAG_ECHOES = [
+    (["eval-mzv", "--args", "2,3+1j", "--star"], {"args": [2, [3.0, 1.0]], "star": True}),
+    # --args is required, so its empty text is the empty sequence, not an absent field
+    (["eval-mzv", "--args", ""], {"args": [], "star": False}),
+    (["eval-schur", "--shape", "3,2", "--inner", "1", "--content", "0=2,1=3/2,2=2,-1=2.5"],
+     {"content": {"-1": 2.5, "0": 2, "1": "3/2", "2": 2}, "inner": "1", "shape": "3,2"}),
+    (["eval-rootzeta", "--rank", "2", "--svars", "2,2,3", "--first-row", "2,3", "--variant", "bulletH",
+      "--d", "1", "--x", "1/2"],
+     {"d": 1, "first_row": [2, 3], "rank": 2, "svars": [2, 2, 3], "variant": "bulletH", "x": "1/2"}),
+    (["expand", "giambelli", "--p", "1", "--q", "2", "--shape", "3,2,1", "--reversed", "--collected"],
+     {"collected": True, "p": 1, "q": 2, "shape": "3,2,1", "target": "giambelli", "variant": "reversed"}),
+    (["verify", "antihook", "--p", "1", "--q", "1", "--shape", "2,1", "--content", "0=2,1=3",
+      "--bottom", "2,3", "--column", "2.5"],
+     {"bottom": [2, 3], "column": [2.5], "content": {"0": 2, "1": 3}, "identity": "antihook",
+      "p": 1, "q": 1, "shape": "2,1"}),
+]
+
+
+@pytest.mark.parametrize("argv,params", FLAG_ECHOES, ids=[" ".join(a[:2]) for a, _ in FLAG_ECHOES])
+def test_every_flag_is_echoed_as_its_job_field(argv, params, capsys):
+    code = cli.main([*argv, "--M", "5"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["inputs"]["params"] == params
+    if params == {"args": [], "star": False}:
+        assert (code, out["error"]) == (1, "empty exponent sequence")
+    else:
+        assert code == 0, out
+
+
 def test_exact_reports_are_deterministic(capsys):
     argv = ["verify", "hook1", "--p", "1", "--q", "1", "--content", "0=2,1=2,-1=2",
             "--M", "6", "--exact"]

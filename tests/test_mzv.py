@@ -296,10 +296,6 @@ def test_content_assignment():
     assert a.sequence([-1, 0, 1]) == (2, 3, 2)
     with pytest.raises(KeyError):
         a[5]
-    b = ContentAssignment.from_json({"0": 3, "-1": [2.0, 1.0]})
-    assert b[-1] == 2 + 1j
-    round_tripped = ContentAssignment.from_json(a.to_json())
-    assert round_tripped.values == a.values
 
 
 def test_truncation_config_validation():

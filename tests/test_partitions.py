@@ -106,13 +106,6 @@ def test_skew_corners():
     assert sorted(Partition((3, 2)).as_skew().corners()) == [(1, 3), (2, 2)]
 
 
-def test_json_round_trip():
-    lam = Partition((3, 1))
-    assert Partition.from_json(lam.to_json()) == lam
-    shape = SkewShape(Partition((3, 2)), Partition((1,)))
-    assert SkewShape.from_json(shape.to_json()) == shape
-
-
 # --- tableau enumeration ---
 
 

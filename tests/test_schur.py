@@ -9,13 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import enumerate_ssyt
 from schurzeta import schur
-from schurzeta.expressions import evaluate_expr, expand_antihook, truncated_value
+from schurzeta.expressions import expand_antihook, truncated_value
 from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import Partition, SkewShape
 from schurzeta.schur import (
     VariableTableau,
     _RowWindow,
-    _antihook_content,
     _route,
     _sum_by_recurrence,
     antihook_tableau,
@@ -43,15 +42,6 @@ def test_variable_tableau_construction():
         VariableTableau.from_content(Partition((2, 1)), {0: 1, 1: 2})
     with pytest.raises(ValueError):
         VariableTableau.from_cells(Partition((2,)), {(1, 1): 2})
-
-
-def test_variable_tableau_json():
-    vt = VariableTableau.from_content(Partition((2, 1)), {0: 3, 1: 2, -1: 2})
-    assert VariableTableau.from_json(vt.to_json()) == vt
-    content_form = {"shape": {"outer": [2, 1], "inner": []}, "content": {"0": 3, "1": 2, "-1": 2}}
-    assert VariableTableau.from_json(content_form) == vt
-    bare_shape = {"shape": [2, 1], "content": {"0": 3, "1": 2, "-1": 2}}
-    assert VariableTableau.from_json(bare_shape) == vt
 
 
 def test_check_W_lambda_examples():
@@ -186,11 +176,11 @@ def test_eval_schur_skew_note():
 # --- reversed-hook (antihook) identity ---
 
 
-def antihook_rhs(bottom, column, cfg):
-    """The anti-hook expansion over the content of the reversed hook with
-    this bottom row and right column."""
-    z = _antihook_content(bottom, column)
-    return evaluate_expr(expand_antihook(len(bottom) - 1, len(column)), z, cfg)
+def antihook_rhs(vt, M, exact):
+    """The anti-hook expansion of the reversed hook vt, truncated at M."""
+    k, l = vt.shape.inner[0], len(vt.shape.inner)
+    z = ContentAssignment({j - i: v for (i, j), v in vt.cell_values.items()})
+    return truncated_value(expand_antihook(k, l), z, M, exact)
 
 
 def test_antihook_layout():
@@ -218,19 +208,10 @@ def test_antihook_tableau_is_the_content_tableau_of_its_layout():
 def test_antihook_rhs_expansion_k1_l1():
     # RHS = -zeta(s11, s10, s00) + zeta*(s00) zeta(s11, s10)
     s00, s10, s11 = 2, 3, 4
-    cfg = TruncationConfig(M=7, mode="exact")
-    res = antihook_rhs([s00, s10], [s11], cfg)
     expected = -eval_ez_truncated([s11, s10, s00], 7, exact=True) + eval_ez_truncated(
         [s00], 7, star=True, exact=True
     ) * eval_ez_truncated([s11, s10], 7, exact=True)
-    assert res.value == expected
-
-
-def test_antihook_rhs_fallback_sums_every_factor_in_floats():
-    exact = antihook_rhs([2, 2.5], [2], TruncationConfig(M=50, mode="exact"))
-    floating = antihook_rhs([2, 2.5], [2], TruncationConfig(M=50))
-    assert "fell back" in exact.note
-    assert (exact.value, exact.tail_bound) == (floating.value, floating.tail_bound)
+    assert antihook_rhs(antihook_tableau([s00, s10], [s11]), 7, exact=True) == expected
 
 
 def test_antihook_exact_matches_brute_force():
@@ -242,29 +223,14 @@ def test_antihook_exact_matches_brute_force():
             vt = antihook_tableau(bottom, column)
             for M in (2, 5, 8):
                 lhs = brute_force_schur(vt, M)
-                rhs = antihook_rhs(bottom, column, TruncationConfig(M=M, mode="exact"))
-                assert lhs == rhs.value
+                assert lhs == antihook_rhs(vt, M, exact=True)
 
 
 def test_antihook_truncation_one_is_zero():
     # a column of two cells cannot be filled with entries <= 1
     vt = antihook_tableau([2, 2], [2])
     assert eval_schur_truncated(vt, 1, exact=True) == 0
-    rhs = antihook_rhs([2, 2], [2], TruncationConfig(M=1, mode="exact"))
-    assert rhs.value == 0
-
-
-def test_antihook_float_with_bounds():
-    cfg = TruncationConfig(M=400)
-    res = antihook_rhs([2, 2], [3], cfg)
-    exact = antihook_rhs([2, 2], [3], TruncationConfig(M=400, mode="exact"))
-    assert res.value == pytest.approx(float(exact.value), rel=1e-12)
-    assert res.tail_bound > 0
-
-
-def test_antihook_convergence_error_names_factor():
-    with pytest.raises(ConvergenceError, match="zeta"):
-        antihook_rhs([1, 1], [1], TruncationConfig(M=10))
+    assert antihook_rhs(vt, 1, exact=True) == 0
 
 
 def test_antihook_input_validation():
@@ -307,9 +273,7 @@ def reversed_hooks(draw, values):
 @given(reversed_hooks(INTS), st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_antihook_expansion_equals_enumeration_exactly(vt, M):
-    k, l = vt.shape.inner[0], len(vt.shape.inner)
-    z = ContentAssignment({j - i: v for (i, j), v in vt.cell_values.items()})
-    assert truncated_value(expand_antihook(k, l), z, M, exact=True) == brute_force_schur(vt, M)
+    assert antihook_rhs(vt, M, exact=True) == brute_force_schur(vt, M)
 
 
 def _expected_path(vt):
@@ -317,7 +281,10 @@ def _expected_path(vt):
     return "chain-determinant" if vt.shape.is_straight() else "row-window"
 
 
-@given(st.one_of(content_tableaux(INTS), reversed_hooks(INTS)), st.integers(min_value=1, max_value=6))
+# a reversed hook's route is the row window itself, which
+# test_enumeration_equals_brute_force checks, and its expansion is checked
+# by test_antihook_expansion_equals_enumeration_exactly
+@given(content_tableaux(INTS), st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_closed_forms_equal_enumeration_exactly(vt, M):
     path, truncated = _route(vt, exact=True)
@@ -339,9 +306,14 @@ def test_closed_forms_match_row_window(vt, M):
     path, truncated = _route(vt, exact=False)
     assert path == _expected_path(vt)
     value = truncated(M)
-    window = eval_schur_truncated(vt, M, exact=False)
-    assert type(value) is type(window)
-    assert abs(value - window) <= 1e-12 * abs(window)
+    # a reversed hook's route is the row window itself, so it is held to the
+    # anti-hook expansion instead
+    if vt.shape.is_straight():
+        reference = eval_schur_truncated(vt, M, exact=False)
+    else:
+        reference = antihook_rhs(vt, M, exact=False)
+    assert type(value) is type(reference)
+    assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
 # --- the exact row window on integer numerators against the brute-force oracle ---
@@ -462,11 +434,8 @@ def test_closed_forms_keep_the_convergence_gate():
     with pytest.raises(ConvergenceError, match="convergence region"):
         eval_schur(antihook_tableau([1, 1], [2]), TruncationConfig(M=10))
     # inside the region, although the anti-hook factor zeta(2, 2, 1) diverges
-    cfg = TruncationConfig(M=200)
-    with pytest.raises(ConvergenceError, match="factor"):
-        antihook_rhs([1, 2], [2], cfg)
     vt = antihook_tableau([1, 2], [2])
-    res = eval_schur(vt, cfg)
+    res = eval_schur(vt, TruncationConfig(M=200))
     assert res.path == "row-window"
     assert res.value == pytest.approx(eval_schur_truncated(vt, 200, exact=False), rel=1e-12)
 
@@ -586,13 +555,12 @@ def test_reversed_hook_row_window_is_linear_in_M():
     # the bottom row's free cells fold into one prefix chain, so the state
     # stays a vector of M entries: 160 kB here, where an M x M state would
     # take 3.2 GB
-    bottom, column = [2.5, 2.2, 2.0], [3.0, 2.5]
+    vt = antihook_tableau([2.5, 2.2, 2.0], [3.0, 2.5])
     tracemalloc.start()
     try:
-        window = _sum_by_recurrence(antihook_tableau(bottom, column), 20000, exact=False)
+        window = _sum_by_recurrence(vt, 20000, exact=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    rhs = antihook_rhs(bottom, column, TruncationConfig(M=20000))
-    assert window == pytest.approx(rhs.value, rel=1e-12)
+    assert window == pytest.approx(antihook_rhs(vt, 20000, exact=False), rel=1e-12)
