@@ -6,7 +6,6 @@ from .expressions import (
     FormalTerm,
     HookEntry,
     ZetaSymbol,
-    eval_thm42,
     expand_antihook,
     expand_giambelli,
     expand_giambelli_terms,
@@ -67,7 +66,6 @@ __all__ = [
     "eval_root_zeta",
     "eval_schur",
     "eval_schur_truncated",
-    "eval_thm42",
     "expand_antihook",
     "expand_giambelli",
     "expand_giambelli_terms",

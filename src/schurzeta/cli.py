@@ -32,7 +32,6 @@ from .expressions import (
 from .mzv import (
     ContentAssignment,
     ConvergenceError,
-    EvalResult,
     TruncationConfig,
     _arithmetic,
     eval_ez,
@@ -53,6 +52,8 @@ SCHEMA_VERSION = 1
 DEFAULTS = {"M": 1000, "tolerance": 1e-8, "mode": "floating", "format": "json"}
 
 VERIFY_IDENTITIES = ("hook1", "hook2", "giambelli", "thm41", "thm41-reversed", "thm42", "antihook")
+# the parameters an identity reads besides its name; the others read shape and content
+_VERIFY_READS = {"hook1": ("p", "q", "content"), "hook2": ("p", "q", "content"), "antihook": ("bottom", "column")}
 
 
 class UsageError(ValueError):
@@ -252,24 +253,28 @@ class JobSpec:
 # ---------------------------------------------------------------------------
 
 
-def _result_payload(res: EvalResult) -> dict:
-    payload = res.as_dict()
-    if isinstance(res.value, Fraction):
-        payload["value_float"] = float(res.value)
-    return payload
-
-
 def _require(params: dict, key: str, command: str):
     if params.get(key) is None:
         raise UsageError(f"{command} requires --{key.replace('_', '-')}")
     return params[key]
 
 
+def _refuse_unread(params: dict, route: str, read, defaults: dict | None = None):
+    """Refuse the parameters that are set but that the route does not read,
+    naming their flags; a value equal to its flag's default counts as unset."""
+    defaults = defaults or {}
+    unread = [k for k, v in params.items() if k not in read and v is not None and v != defaults.get(k)]
+    if unread:
+        # only expand leaves variant unread, and there its flag is --reversed
+        flags = ", ".join("--reversed" if k == "variant" else "--" + k.replace("_", "-") for k in unread)
+        raise UsageError(f"{route} does not read {flags}")
+
+
 def _run_eval_mzv(spec: JobSpec) -> dict:
     args = [_parse_value(a, "args") for a in _require(spec.params, "args", "eval-mzv")]
     star = bool(spec.params.get("star", False))
     res = eval_ez(args, spec.cfg, star=star)
-    return {"results": _result_payload(res)}
+    return {"results": res.as_dict()}
 
 
 def _schur_tableau(params: dict) -> VariableTableau:
@@ -277,6 +282,7 @@ def _schur_tableau(params: dict) -> VariableTableau:
     inner = params.get("inner")
     skew = SkewShape(shape, _parse_partition(inner) if inner else Partition(()))
     if params.get("cells") is not None:
+        _refuse_unread(params, "eval-schur with cells", ("shape", "inner", "cells"))
         cells = {}
         for key, v in params["cells"].items():
             i, j = (int(t) for t in str(key).split(","))
@@ -289,33 +295,44 @@ def _schur_tableau(params: dict) -> VariableTableau:
 def _run_eval_schur(spec: JobSpec) -> dict:
     vt = _schur_tableau(spec.params)
     res = eval_schur(vt, spec.cfg)
-    return {"results": _result_payload(res)}
+    return {"results": res.as_dict()}
 
 
 def _run_eval_rootzeta(spec: JobSpec) -> dict:
     params = spec.params
     variant = params.get("variant", "plain")
     if params.get("first_row") is not None:
+        route, read = "eval-rootzeta --first-row", {"variant", "first_row"}
         args = RootZetaArgs.first_row([_parse_value(v, "first_row") for v in params["first_row"]])
     else:
+        route, read = "eval-rootzeta --rank --svars", {"variant", "rank", "svars"}
         rank = int(_require(params, "rank", "eval-rootzeta"))
         args = RootZetaArgs.full(rank, [_parse_value(v, "svars") for v in _require(params, "svars", "eval-rootzeta")])
     if variant not in ("plain", "bullet", "H", "bulletH"):
         raise UsageError(f"variant must be plain, bullet, H or bulletH, got {variant!r}")
-    d = int(_require(params, "d", "eval-rootzeta")) if variant.startswith("bullet") else 0
-    x = _parse_number(str(_require(params, "x", "eval-rootzeta"))) if variant.endswith("H") else None
+    d, x = 0, None
+    if variant.startswith("bullet"):
+        read.add("d")
+        d = int(_require(params, "d", "eval-rootzeta"))
+    if variant.endswith("H"):
+        read.add("x")
+        x = _parse_number(str(_require(params, "x", "eval-rootzeta")))
+    _refuse_unread(params, f"{route} --variant {variant}", read)
     res = eval_root_zeta(args, spec.cfg, d, x)
-    return {"results": _result_payload(res)}
+    return {"results": res.as_dict()}
 
 
 def _run_expand(spec: JobSpec) -> dict:
     params = spec.params
     target = _require(params, "target", "expand")
     if target in ("hook1", "hook2"):
+        # the flag parser always fills in variant and collected
+        _refuse_unread(params, f"expand {target}", ("target", "p", "q"), {"variant": "standard", "collected": False})
         p = int(_require(params, "p", "expand"))
         q = int(_require(params, "q", "expand"))
         expr = expand_hook(p, q, target)
     elif target == "giambelli":
+        _refuse_unread(params, "expand giambelli", ("target", "shape", "variant", "collected"))
         lam = _parse_partition(_require(params, "shape", "expand"))
         variant = params.get("variant", "standard")
         if params.get("collected"):
@@ -355,6 +372,7 @@ def _run_verify(spec: JobSpec) -> dict:
     identity = _require(params, "identity", "verify")
     if identity not in VERIFY_IDENTITIES:
         raise UsageError(f"identity must be one of {', '.join(VERIFY_IDENTITIES)}")
+    _refuse_unread(params, f"verify {identity}", ("identity", *_VERIFY_READS.get(identity, ("shape", "content"))))
     content = ContentAssignment(_parse_content(params.get("content") or {}))
     expr = None
     if identity in ("hook1", "hook2"):

@@ -15,18 +15,9 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .mzv import (
-    ConvergenceError,
-    ContentAssignment,
-    EvalResult,
-    Number,
-    _doubling_result,
-    check_ez_domain,
-    eval_ez_truncated,
-    exact_exponent,
-)
+from .mzv import ContentAssignment, EvalResult, Number, TruncationConfig, eval_ez_truncated
 from .partitions import Partition
-from .rootzeta import chain_determinant
+from .schur import VariableTableau, eval_schur
 
 
 @dataclass(frozen=True)
@@ -343,36 +334,11 @@ def truncated_value(expr: FormalExpr, assignment: ContentAssignment, M: int, exa
 def eval_thm42(
     lam: Partition, assignment: ContentAssignment | Mapping[int, Number], M: int
 ) -> EvalResult:
-    """The root-system series form of the Schur sum: an N-fold sum over the
-    diagonal entries m_kk <= M weighted by m^(-z_0), with one weak chain
-    (arm) and one strict chain (leg) per slot, signed over permutations: the
-    determinant rootzeta.chain_determinant takes. Chains share the bound M
-    with the outer sum, so every running value stays <= M.
+    """The Thm 4.2 series of the content shape lam truncated at M, as
+    eval_schur in exact mode computes it: the chain determinant, exact for
+    non-negative integer exponents, else floating with its doubling estimate.
 
-    Non-negative integer exponents give the exact Fraction at M with no
-    tail bound, as eval_schur does in exact mode; any other exponents give
-    the floating value with a doubling-consistency estimate.
+    Kept only as bench/check.py's reference, until that script sums its own
+    determinant; the library's front door is eval_schur.
     """
-    if not isinstance(assignment, ContentAssignment):
-        assignment = ContentAssignment(assignment)
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    f = lam.frobenius()
-    # the series diverges at Re(z_0) <= 1 on the diagonal, or when an arm
-    # chain z_1..z_p or leg chain z_-1..z_-q lies outside the EZ domain
-    if not complex(assignment[0]).real > 1:
-        raise ConvergenceError("need Re(z_0) > 1 for the diagonal sum")
-    for pk in set(f.p):
-        if not check_ez_domain(assignment.sequence(range(1, pk + 1))):
-            raise ConvergenceError(f"arm chain z_1..z_{pk} diverges")
-    for qj in set(f.q):
-        if not check_ez_domain(assignment.sequence(range(-1, -qj - 1, -1))):
-            raise ConvergenceError(f"leg chain z_-1..z_-{qj} diverges")
-    # picks its own arithmetic, unlike the helpers, as bench/check.py's reference
-    # z_0 and the longest arm and leg chains: every exponent the series uses
-    if all(exact_exponent(assignment[k]) is not None for k in range(-f.q[0], f.p[0] + 1)):
-        return EvalResult(chain_determinant(f, assignment, M, True), None, M)
-    res = _doubling_result(lambda m: chain_determinant(f, assignment, m, False), M)
-    if isinstance(res.value, complex) and res.value.imag == 0:
-        res.value = res.value.real
-    return res
+    return eval_schur(VariableTableau.from_content(lam, assignment), TruncationConfig(M, mode="exact"))

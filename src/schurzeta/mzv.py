@@ -71,6 +71,7 @@ class EvalResult:
     path: str = ""
 
     def as_dict(self) -> dict:
+        """The report's results block; a Fraction value also as value_float."""
         out = {
             "value": value_to_json(self.value),
             "tail_bound": self.tail_bound,
@@ -78,15 +79,20 @@ class EvalResult:
             "heuristic": self.heuristic,
             "note": self.note,
         }
+        if isinstance(self.value, Fraction):
+            out["value_float"] = float(self.value)
         if self.path:
             out["path"] = self.path
         return out
 
 
-def _doubling_result(evaluate, M: int, note: str = "", path: str = "") -> EvalResult:
-    """The truncated value at M with twice its distance to the value at 2M
-    as a heuristic tail estimate. The larger pass runs first, so an input
-    refused at 2M is refused before the pass at M is spent."""
+def _truncated_result(evaluate, M: int, exact: bool, note: str = "", path: str = "") -> EvalResult:
+    """The truncated value at M: exact, with no bound, or with twice its
+    distance to the value at 2M as a heuristic tail estimate. The larger
+    pass runs first, so an input refused at 2M is refused before the pass
+    at M is spent."""
+    if exact:
+        return EvalResult(evaluate(M), None, M, note=note, path=path)
     v2 = evaluate(2 * M)
     v1 = evaluate(M)
     estimate = 2.0 * abs(complex(v2) - complex(v1))

@@ -41,10 +41,10 @@ from .mzv import (
     TruncationConfig,
     _arithmetic,
     _chains,
-    _doubling_result,
     _exact_exponents,
     _pow_vector,
     _running_sums,
+    _truncated_result,
 )
 from .partitions import FrobeniusForm
 
@@ -209,9 +209,7 @@ def eval_root_zeta(args: RootZetaArgs, cfg: TruncationConfig, d: int = 0, x=None
     points = sum((m + 1) ** d * m ** (args.r - d) for m in ([cfg.M] if exact else [cfg.M, 2 * cfg.M]))
     if points > _MAX_BOX_POINTS:
         raise ValueError(f"job too large (predicted {points} box points); lower M")
-    if exact:
-        return EvalResult(_grid_sum(args, cfg.M, d, x, True), None, cfg.M)
-    return _doubling_result(lambda m: _grid_sum(args, m, d, x, False), cfg.M, note=note)
+    return _truncated_result(lambda m: _grid_sum(args, m, d, x, exact), cfg.M, exact, note=note)
 
 
 def _det(rows):

@@ -31,10 +31,10 @@ from .mzv import (
     TruncationConfig,
     _arithmetic,
     _chains,
-    _doubling_result,
     _exact_exponents,
     _lcm_upto,
     _running_sums,
+    _truncated_result,
 )
 from .partitions import Partition, SkewShape
 from .rootzeta import chain_determinant
@@ -202,9 +202,16 @@ class _RowWindow:
         return self.state.sum()
 
 
-def _sum_by_recurrence(vt: VariableTableau, M: int, exact: bool) -> Number:
-    """The row loop, shared by both arithmetics; the arithmetic picks the
-    state's dtype, its refusal budget of 2 GiB and the final denominator."""
+def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool) -> Number:
+    """Sum over all semi-standard fillings with entries <= M, by definition:
+    the row-window recurrence, on integer numerators giving a Fraction when
+    exact (non-negative integer exponents only), else in floating point.
+
+    The row loop is shared by both arithmetics; the arithmetic picks the
+    state's dtype, its refusal budget of 2 GiB and the final denominator.
+    """
+    if M < 1:
+        raise ValueError("M must be >= 1")
     shape = vt.shape
     value = vt.cell_values
     if exact:
@@ -286,16 +293,6 @@ def _sum_by_recurrence(vt: VariableTableau, M: int, exact: bool) -> Number:
     return complex(total) if win.dtype is complex else float(total)
 
 
-def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool) -> Number:
-    """Sum over all semi-standard fillings with entries <= M, by definition:
-    the row-window recurrence, on integer numerators giving a Fraction when
-    exact (non-negative integer exponents only), else in floating point.
-    """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    return _sum_by_recurrence(vt, M, exact)
-
-
 def _content_assignment(vt: VariableTableau) -> ContentAssignment | None:
     """The z_k of a nonempty tableau, straight or skew, whose cell (i, j)
     carries a value that depends on j - i only; None for any other tableau."""
@@ -319,7 +316,8 @@ def _route(vt: VariableTableau, exact: bool):
 
 
 def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
-    """Truncated Schur sum with a doubling-consistency tail estimate.
+    """Truncated Schur sum: in exact mode the Fraction at M, in floating
+    mode with a doubling-consistency tail estimate.
 
     The shape picks the route, reported as the result's path: the chain
     determinant for straight content-parametrized tableaux, else the sum by
@@ -332,9 +330,7 @@ def eval_schur(vt: VariableTableau, cfg: TruncationConfig) -> EvalResult:
     exact, fallback = _arithmetic(cfg, vt.cell_values.values())
     note = "; ".join(filter(None, (note, fallback)))
     path, truncated = _route(vt, exact)
-    if exact:
-        return EvalResult(truncated(cfg.M), None, cfg.M, note=note, path=path)
-    return _doubling_result(truncated, cfg.M, note=note, path=path)
+    return _truncated_result(truncated, cfg.M, exact, note=note, path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Test-only reference code: the semi-standard tableaux enumerated one by
-one, and the Giambelli determinant as a cofactor expansion. The package
-sums and expands both without them; the tests compare against them.
+one, the Giambelli determinant as a cofactor expansion, and the Schur sum
+at a constant exponent from power sums. The package sums and expands
+without them; the tests compare against them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from schurzeta.expressions import FormalExpr, HookEntry, expand_hook, normalize
@@ -105,3 +109,32 @@ def expand_grid_determinant(grid: Sequence[Sequence[HookEntry]], variant: str = 
         return total
 
     return normalize(det(mat))
+
+
+def power_sum_schur(outer: Sequence[int], inner: Sequence[int], s: int, M: int) -> Fraction:
+    """The skew Schur function s_{outer/inner}(x_1, ..., x_M) at x_m = m^(-s),
+    integer s >= 0: the Schur sum truncated at M with s in every cell.
+
+    Jacobi-Trudi gives it as det[h_(outer_i - inner_j - i + j)], and Newton's
+    identities n h_n = sum_k p_k h_(n-k) give the h from the power sums
+    p_k = sum_(m <= M) m^(-ks) (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.2-I.5). Exact at every M.
+    """
+    n = len(outer)
+    inner = [*inner] + [0] * (n - len(inner))
+    top = outer[0] - inner[-1] + n - 1 if n else 0  # the largest index of an h
+    L = math.lcm(*range(1, M + 1))
+    p = [Fraction(sum((L // m) ** (k * s) for m in range(1, M + 1)), L ** (k * s)) for k in range(top + 1)]
+    h = [Fraction(1)]
+    for d in range(1, top + 1):
+        h.append(sum(p[k] * h[d - k] for k in range(1, d + 1)) / d)
+
+    def entry(i, j):
+        d = outer[i] - inner[j] - i + j
+        return h[d] if d >= 0 else 0
+
+    total = Fraction(0)
+    for sigma in permutations(range(n)):
+        sign = (-1) ** sum(a > b for a, b in combinations(sigma, 2))
+        total += sign * math.prod(entry(i, j) for i, j in enumerate(sigma))
+    return total

@@ -12,7 +12,6 @@ from itertools import combinations
 
 from oracles import enumerate_ssyt, expand_grid_determinant
 from schurzeta.expressions import (
-    eval_thm42,
     expand_antihook,
     expand_giambelli,
     expand_hook,
@@ -21,7 +20,7 @@ from schurzeta.expressions import (
 )
 from schurzeta.mzv import ContentAssignment, TruncationConfig, eval_ez, eval_ez_truncated
 from schurzeta.partitions import FrobeniusForm, Partition
-from schurzeta.rootzeta import RootZetaArgs, canonical_pairs, eval_root_zeta
+from schurzeta.rootzeta import RootZetaArgs, canonical_pairs, chain_determinant, eval_root_zeta
 from schurzeta.schur import (
     VariableTableau,
     _antihook_content,
@@ -127,10 +126,10 @@ def test_criterion_5_root_system_numerical():
     failures = []
     for parts in [(2, 1), (2, 2)]:
         lam = Partition(parts)
-        # summed over tableaux: eval_schur itself takes the Thm 4.2 form
+        # summed over tableaux by the row window, not by eval_schur's Thm 4.2 route
         schur = eval_schur_truncated(VariableTableau.from_content(lam, z), 200, exact=False)
-        rs = eval_thm42(lam, z, 200)
-        diff = abs(complex(schur) - complex(rs.value))
+        series = chain_determinant(lam.frobenius(), ContentAssignment(z), 200, False)
+        diff = abs(complex(schur) - complex(series))
         if diff > 1e-10:
             failures.append((parts, diff))
     _report(5, "root-system series identity at M=200, diff <= 1e-10", failures)

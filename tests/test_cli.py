@@ -126,15 +126,20 @@ FLAG_ECHOES = [
     (["eval-mzv", "--args", ""], {"args": [], "star": False}),
     (["eval-schur", "--shape", "3,2", "--inner", "1", "--content", "0=2,1=3/2,2=2,-1=2.5"],
      {"content": {"-1": 2.5, "0": 2, "1": "3/2", "2": 2}, "inner": "1", "shape": "3,2"}),
-    (["eval-rootzeta", "--rank", "2", "--svars", "2,2,3", "--first-row", "2,3", "--variant", "bulletH",
-      "--d", "1", "--x", "1/2"],
-     {"d": 1, "first_row": [2, 3], "rank": 2, "svars": [2, 2, 3], "variant": "bulletH", "x": "1/2"}),
-    (["expand", "giambelli", "--p", "1", "--q", "2", "--shape", "3,2,1", "--reversed", "--collected"],
-     {"collected": True, "p": 1, "q": 2, "shape": "3,2,1", "target": "giambelli", "variant": "reversed"}),
-    (["verify", "antihook", "--p", "1", "--q", "1", "--shape", "2,1", "--content", "0=2,1=3",
-      "--bottom", "2,3", "--column", "2.5"],
-     {"bottom": [2, 3], "column": [2.5], "content": {"0": 2, "1": 3}, "identity": "antihook",
-      "p": 1, "q": 1, "shape": "2,1"}),
+    (["eval-rootzeta", "--rank", "2", "--svars", "2,2,3", "--variant", "bulletH", "--d", "1", "--x", "1/2"],
+     {"d": 1, "rank": 2, "svars": [2, 2, 3], "variant": "bulletH", "x": "1/2"}),
+    (["eval-rootzeta", "--first-row", "2,3", "--variant", "H", "--x", "1/2"],
+     {"first_row": [2, 3], "variant": "H", "x": "1/2"}),
+    (["expand", "giambelli", "--shape", "3,2,1", "--reversed", "--collected"],
+     {"collected": True, "shape": "3,2,1", "target": "giambelli", "variant": "reversed"}),
+    (["expand", "hook2", "--p", "1", "--q", "2"],
+     {"collected": False, "p": 1, "q": 2, "target": "hook2", "variant": "standard"}),
+    (["verify", "antihook", "--bottom", "2,3", "--column", "2.5"],
+     {"bottom": [2, 3], "column": [2.5], "identity": "antihook"}),
+    (["verify", "hook1", "--p", "1", "--q", "1", "--content", "0=2,1=3,-1=2"],
+     {"content": {"-1": 2, "0": 2, "1": 3}, "identity": "hook1", "p": 1, "q": 1}),
+    (["verify", "thm41", "--shape", "2,1", "--content", "0=2,1=3,-1=2"],
+     {"content": {"-1": 2, "0": 2, "1": 3}, "identity": "thm41", "shape": "2,1"}),
 ]
 
 
@@ -147,6 +152,40 @@ def test_every_flag_is_echoed_as_its_job_field(argv, params, capsys):
         assert (code, out["error"]) == (1, "empty exponent sequence")
     else:
         assert code == 0, out
+
+
+UNREAD = [
+    (["eval-rootzeta", "--rank", "1", "--svars", "2", "--first-row", "2"], "--rank, --svars"),
+    (["eval-rootzeta", "--first-row", "2", "--variant", "plain", "--d", "1", "--x", "1/2"], "--d, --x"),
+    (["eval-rootzeta", "--first-row", "2", "--variant", "H", "--d", "1", "--x", "1/2"], "--d"),
+    (["eval-rootzeta", "--first-row", "2", "--variant", "bullet", "--d", "1", "--x", "1/2"], "--x"),
+    (["verify", "thm41", "--shape", "2,1", "--content", "0=2,1=3,-1=2", "--p", "1", "--q", "1"], "--p, --q"),
+    (["verify", "hook1", "--p", "1", "--q", "1", "--content", "0=2,1=2,-1=2", "--shape", "2,1"], "--shape"),
+    (["verify", "antihook", "--bottom", "2,3", "--column", "2", "--shape", "5,5", "--content", "0=9,1=9"],
+     "--shape, --content"),
+    (["verify", "thm42", "--shape", "2,1", "--content", "0=2,1=3,-1=2", "--bottom", "2,3"], "--bottom"),
+    (["expand", "hook1", "--p", "1", "--q", "1", "--shape", "3,3", "--reversed", "--collected"],
+     "--shape, --reversed, --collected"),
+    (["expand", "hook2", "--p", "1", "--q", "1", "--collected"], "--collected"),
+    (["expand", "giambelli", "--shape", "2,1", "--p", "1", "--q", "2"], "--p, --q"),
+]
+
+
+@pytest.mark.parametrize("argv,flags", UNREAD, ids=[" ".join(a) for a, _ in UNREAD])
+def test_a_parameter_the_route_does_not_read_is_refused(argv, flags, capsys):
+    assert cli.main([*argv, "--M", "5"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error" and out["error"].endswith(f"does not read {flags}")
+
+
+def test_cells_and_content_together_are_refused(tmp_path, capsys):
+    job = {"command": "eval-schur", "params": {"shape": "2,1", "cells": {"1,1": 3, "1,2": 2, "2,1": 2},
+                                               "content": {"0": 3, "1": 2, "-1": 2}}, "cfg": {"M": 5}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert cli.main(["job", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "eval-schur with cells does not read --content"
 
 
 def test_exact_reports_are_deterministic(capsys):

@@ -19,9 +19,10 @@ from schurzeta.expressions import (
     normalize,
     truncated_value,
 )
-from schurzeta.mzv import ContentAssignment, ConvergenceError, eval_ez_truncated
+from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import FrobeniusForm, Partition
-from schurzeta.schur import VariableTableau, eval_schur_truncated
+from schurzeta.rootzeta import chain_determinant
+from schurzeta.schur import VariableTableau, eval_schur, eval_schur_truncated
 
 
 def term(coeff, *factors):
@@ -224,35 +225,50 @@ def test_empty_expression_evaluates_to_zero():
 
 
 def test_thm42_single_cell_is_riemann():
-    res = eval_thm42(Partition((1,)), {0: 3}, 40)
+    vt = VariableTableau.from_content(Partition((1,)), {0: 3})
+    res = eval_schur(vt, TruncationConfig(40, mode="exact"))
     assert res.value == eval_ez_truncated([3], 40, exact=True)
-    # exact, as eval_schur in exact mode: the value at M and no estimate
-    assert res.tail_bound is None and not res.heuristic
+    # exact mode: the value at M and no estimate
+    assert res.tail_bound is None and not res.heuristic and res.path == "chain-determinant"
 
 
 def test_thm42_hook_matches_tableau():
-    z = {0: 3, 1: 2, -1: 2}
+    z = ContentAssignment({0: 3, 1: 2, -1: 2})
     lam = Partition((2, 1))
     vt = VariableTableau.from_content(lam, z)
     for M in (3, 6, 10):
-        assert eval_thm42(lam, z, M).value == eval_schur_truncated(vt, M, exact=True)
+        assert chain_determinant(lam.frobenius(), z, M, True) == eval_schur_truncated(vt, M, exact=True)
 
 
 def test_thm42_two_by_two_numerical():
-    z = {0: 3, 1: 2, -1: 2}
+    z = ContentAssignment({0: 3, 1: 2, -1: 2})
     lam = Partition((2, 2))
-    res = eval_thm42(lam, z, 200)
-    # summed over tableaux: eval_schur itself takes the Thm 4.2 form
+    series = chain_determinant(lam.frobenius(), z, 200, False)
+    # summed over tableaux by the row window, not by eval_schur's Thm 4.2 route
     schur = eval_schur_truncated(VariableTableau.from_content(lam, z), 200, exact=False)
-    assert abs(res.value - schur) < 1e-10
+    assert abs(series - schur) < 1e-10
 
 
 def test_thm42_three_by_three_exact():
-    z = {0: 3, 1: 2, 2: 2, -1: 2, -2: 2}
+    z = ContentAssignment({0: 3, 1: 2, 2: 2, -1: 2, -2: 2})
     lam = Partition((3, 3, 3))
     vt = VariableTableau.from_content(lam, z)
     for M in (3, 4):
-        assert eval_thm42(lam, z, M).value == eval_schur_truncated(vt, M, exact=True)
+        assert chain_determinant(lam.frobenius(), z, M, True) == eval_schur_truncated(vt, M, exact=True)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [{0: 3, 1: 2, 2: 2, -1: 2, -2: 3}, {0: 2.5, 1: 1.5, 2: 2, -1: 2.2, -2: 3}, {0: 3, 1: 2 + 0.5j, 2: 2, -1: 2, -2: 3 - 1j}],
+    ids=["integer", "real", "complex"],
+)
+@pytest.mark.parametrize("M", [7, 50])
+def test_eval_thm42_is_exact_mode_eval_schur(content, M):
+    # bench/check.py takes eval_thm42 as its Thm 4.2 reference
+    lam = Partition((3, 2, 1))
+    res = eval_thm42(lam, content, M)
+    want = eval_schur(VariableTableau.from_content(lam, content), TruncationConfig(M, mode="exact"))
+    assert (res.value, res.tail_bound, res.heuristic) == (want.value, want.tail_bound, want.heuristic)
 
 
 def test_expansion_matches_tableau_asymmetric_shape():
@@ -272,10 +288,18 @@ def test_expansion_matches_tableau_complex_content():
 
 
 def test_thm42_convergence_checks():
+    # eval_schur refuses by the W_lambda rule alone
+    exact = TruncationConfig(10, mode="exact")
+    # inside W_lambda, though the arm chain z_1 and the leg chain z_-1 diverge on their own
+    lam, z = Partition((2, 2)), {0: 2, 1: 1, -1: 1}
+    res = eval_schur(VariableTableau.from_content(lam, z), exact)
+    assert res.value == eval_schur_truncated(VariableTableau.from_content(lam, z), 10, exact=True)
+    # outside W_lambda (z_1 < 1 off the corners), though every chain converges
     with pytest.raises(ConvergenceError):
-        eval_thm42(Partition((1,)), {0: 1}, 10)
-    with pytest.raises(ConvergenceError):
-        eval_thm42(Partition((2, 2)), {0: 3, 1: 0.2, -1: 2}, 10)
+        eval_schur(VariableTableau.from_content(Partition((3, 1)), {0: 2, 1: 0.9, 2: 3, -1: 2}), exact)
+    for lam, z in [((1,), {0: 1}), ((2, 2), {0: 3, 1: 0.2, -1: 2})]:
+        with pytest.raises(ConvergenceError):
+            eval_schur(VariableTableau.from_content(Partition(lam), z), exact)
 
 
 def test_giambelli_numerical_consistency_small():

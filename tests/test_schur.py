@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import enumerate_ssyt
+from oracles import enumerate_ssyt, power_sum_schur
 from schurzeta import schur
 from schurzeta.expressions import expand_antihook, truncated_value
 from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig, eval_ez_truncated
 from schurzeta.partitions import Partition, SkewShape
+from schurzeta.rootzeta import chain_determinant
 from schurzeta.schur import (
     VariableTableau,
     _RowWindow,
     _route,
-    _sum_by_recurrence,
     antihook_tableau,
     check_W_lambda,
     eval_schur,
@@ -320,15 +320,20 @@ def test_closed_forms_match_row_window(vt, M):
 
 
 @st.composite
-def per_cell_tableaux(draw, max_size=8):
-    """A straight or skew shape, empty rows included, with an independent
-    exponent in {0, 1, 2, 3} per cell."""
+def skew_shapes(draw, max_size=8):
+    """A straight or skew shape of at most max_size cells, empty rows included."""
     outer = draw(partitions(max_size))
     inner = []
     if draw(st.booleans()):
         for part in outer:
             inner.append(draw(st.integers(min_value=0, max_value=min([part, *inner[-1:]]))))
-    shape = SkewShape(outer, Partition(tuple(p for p in inner if p)))
+    return SkewShape(outer, Partition(tuple(p for p in inner if p)))
+
+
+@st.composite
+def per_cell_tableaux(draw, max_size=8):
+    """A skew_shapes shape with an independent exponent in {0, 1, 2, 3} per cell."""
+    shape = draw(skew_shapes(max_size))
     return VariableTableau.from_cells(shape, {c: draw(st.integers(0, 3)) for c in shape.cells()})
 
 
@@ -380,6 +385,24 @@ def test_enumeration_at_M_one_has_one_filling(outer, inner):
     shape = SkewShape(Partition(outer), Partition(inner))
     vt = VariableTableau.from_cells(shape, {c: 3 for c in shape.cells()})
     assert eval_schur_truncated(vt, 1, exact=True) == 1 == brute_force_schur(vt, 1)
+
+
+# --- an oracle from outside the paper: power sums at a constant exponent ---
+
+
+@given(skew_shapes().filter(lambda shape: shape.n_rows <= 4), st.integers(0, 3), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_row_window_equals_power_sum_schur(shape, s, M):
+    vt = VariableTableau.from_cells(shape, {c: s for c in shape.cells()})
+    assert eval_schur_truncated(vt, M, exact=True) == power_sum_schur(shape.outer, shape.inner, s, M)
+
+
+@pytest.mark.parametrize("s", [0, 2])
+@pytest.mark.parametrize("parts", [(1,), (2, 1), (2, 2), (3, 1, 1), (3, 2, 1), (3, 3)])
+def test_chain_determinant_equals_power_sum_schur(parts, s):
+    lam = Partition(parts)
+    z = ContentAssignment({c: s for c in range(1 - len(lam), lam[0])})
+    assert chain_determinant(lam.frobenius(), z, 300, True) == power_sum_schur(lam, (), s, 300)
 
 
 def test_enumeration_sums_the_last_cell_from_its_lower_bound_to_M():
@@ -539,7 +562,7 @@ def test_exact_row_window_refuses_by_bytes_before_allocating():
 @settings(max_examples=80, deadline=None)
 def test_row_window_equals_enumeration(vt, M):
     # floating against exact, the exact row window checked by brute force above
-    window = _sum_by_recurrence(vt, M, exact=False)
+    window = eval_schur_truncated(vt, M, exact=False)
     assert type(window) is float
     exact = eval_schur_truncated(vt, M, exact=True)
     assert window == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
@@ -548,7 +571,7 @@ def test_row_window_equals_enumeration(vt, M):
 @pytest.mark.parametrize("values", [[2.5], [2.5, 1.5, 3.0], [2.0, 2.5 + 1j]])
 def test_a_wholly_free_row_is_one_truncated_zeta_star(values):
     vt = VariableTableau.from_cells(Partition((len(values),)), {(1, j): v for j, v in enumerate(values, 1)})
-    assert _sum_by_recurrence(vt, 500, exact=False) == eval_ez_truncated(values, 500, star=True, exact=False)
+    assert eval_schur_truncated(vt, 500, exact=False) == eval_ez_truncated(values, 500, star=True, exact=False)
 
 
 def test_reversed_hook_row_window_is_linear_in_M():
@@ -558,7 +581,7 @@ def test_reversed_hook_row_window_is_linear_in_M():
     vt = antihook_tableau([2.5, 2.2, 2.0], [3.0, 2.5])
     tracemalloc.start()
     try:
-        window = _sum_by_recurrence(vt, 20000, exact=False)
+        window = eval_schur_truncated(vt, 20000, exact=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
