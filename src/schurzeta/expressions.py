@@ -85,12 +85,6 @@ class FormalExpr:
     def __add__(self, other: "FormalExpr") -> "FormalExpr":
         return normalize(FormalExpr(self.terms + other.terms))
 
-    def __sub__(self, other: "FormalExpr") -> "FormalExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "FormalExpr":
-        return FormalExpr(tuple(FormalTerm(-t.coefficient, t.factors) for t in self.terms))
-
     def __mul__(self, other: "FormalExpr") -> "FormalExpr":
         out = [
             FormalTerm(a.coefficient * b.coefficient, a.factors + b.factors)

@@ -204,22 +204,21 @@ def _lcm_upto(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
-def _pow_vector(s: Number, M: int, shift: float = 0.0) -> np.ndarray:
-    """(m + shift)^(-s) for m = 1..M, by the rule of _powers."""
-    return _powers(s, np.arange(1.0, M + 1.0) + shift)
+# exact cells times the bits of their numerators: at 1.4-3.6 ns per
+# cell-bit (2 vCPU), at most about 15 s of numerators
+_MAX_EXACT_POINT_BITS = 1 << 32
 
 
-def _running_sums(A: np.ndarray, down: bool) -> np.ndarray:
-    """A's running sums in place, from entry 0 up or from the last entry down:
-    np.cumsum's additions, without its wrapper's cost on short arrays."""
-    if down:
-        np.add.accumulate(A[::-1], out=A[::-1])
-    else:
-        np.add.accumulate(A, out=A)
-    return A
+def _refuse_exact_job(cells: int, n: int, K: int) -> None:
+    """Refuse an exact job of `cells` numerators over L^K, L = lcm(1..n),
+    before L is computed. L^K has at most K * (1.4988 n + 1) bits, as
+    psi(n) = ln L < 1.03883 n (Rosser-Schoenfeld 1962)."""
+    bits = math.ceil(K * (1.4988 * n + 1))
+    if cells * bits > _MAX_EXACT_POINT_BITS:
+        raise ValueError(f"job too large (predicted {cells} cells of {bits}-bit numerators); lower M")
 
 
-def _chains(s: Sequence[Number], M: int, star: bool, exact: bool, down: bool = False) -> tuple[np.ndarray, Number]:
+def _chains(s: Sequence[Number], M: int, star: bool, exact: bool, down: bool = False) -> tuple[np.ndarray, int | tuple]:
     """The chains m_1 < ... < m_r <= M of s (weak for star) by the prefix-sum
     recurrence, one stage per exponent: (terms, rest).
 
@@ -231,17 +230,26 @@ def _chains(s: Sequence[Number], M: int, star: bool, exact: bool, down: bool = F
     v = M and the strict shift one value down. So the depth-r sum costs
     O(M * r), holding the bases, one stage and the next.
 
-    Floating mode: rest is the sum of the stage before the last (1 for depth
-    1), going up the truncated value of s[:-1], which the tail bound needs.
-    The logs of the bases are taken once, for a complex exponent only, and a
-    stage turns complex only where its exponent or an earlier one is.
+    Exponent 0 weighs every value by exactly 1 (1.0, or the int 1), so a weak
+    step into it leaves the running sums of the stage before, bit for bit:
+    the weak terms of (*s, 0) going up, or of (0, *s) going down, are the
+    running sums of the terms of s in that direction. Callers take running
+    sums that way.
+
+    Floating mode: rest is the tuple of the pairwise sums of the stages
+    before the last (empty at depth 1), going up the truncated values of
+    s[:1], ..., s[:-1], which the tail bound needs. The logs of the bases
+    are taken once, for a complex exponent only, and a stage turns complex
+    only where its exponent or an earlier one is.
 
     Exact mode (non-negative integer exponents only): the same steps on a
     numpy object array of integer numerators over D = L^(s_1 + ... + s_r),
-    L = lcm(1..M), where m^(-e) is L^e // m^e; rest is D.
+    L = lcm(1..M), where m^(-e) is L^e // m^e; rest is D. A job past the
+    exact budget is refused before L is computed.
     """
     if exact:
         s = _exact_exponents(s)
+        _refuse_exact_job(M * len(s), M, sum(s))
         L = _lcm_upto(M)
 
         def powers(e):
@@ -256,13 +264,16 @@ def _chains(s: Sequence[Number], M: int, star: bool, exact: bool, down: bool = F
 
     stages = s[::-1] if down else s
     A = powers(stages[0])
-    rest = L ** sum(s) if exact else 1.0
-    for t, e in enumerate(stages[1:], 2):
-        if t == len(s) and not exact:
+    sums = []
+    for e in stages[1:]:
+        if not exact:
             # numpy's pairwise sum, not cumsum's last entry: that one adds
             # sequentially and drifts ~1e-11 relative at M = 1e6
-            rest = A.sum()
-        _running_sums(A, down)
+            sums.append(A.sum())
+        # running sums in place: np.cumsum's additions without its wrapper's
+        # cost on short arrays
+        R = A[::-1] if down else A
+        np.add.accumulate(R, out=R)
         W = powers(e)
         if np.iscomplexobj(A) and not np.iscomplexobj(W):
             W = W.astype(complex)
@@ -275,10 +286,10 @@ def _chains(s: Sequence[Number], M: int, star: bool, exact: bool, down: bool = F
             W[1:] *= A[:-1]
             W[0] = 0
         A = W
-    return A, rest
+    return A, L ** sum(s) if exact else tuple(sums)
 
 
-def _ez_value(s: Sequence[Number], M: int, star: bool, exact: bool) -> tuple[Number, Number]:
+def _ez_value(s: Sequence[Number], M: int, star: bool, exact: bool) -> tuple[Number, int | tuple]:
     """The sum truncated at M, an exact Fraction or a float or complex, and
     the kernel's rest."""
     terms, rest = _chains(s, M, star, exact)
@@ -300,22 +311,45 @@ def eval_ez_truncated(s: Sequence[Number], M: int, star: bool = False, *, exact:
     return _ez_value(s, M, star, exact)[0]
 
 
-def _tail_bound(s: Sequence[Number], M: int, rest: Number) -> float:
-    # integral comparison on the outermost index, times the truncated value
-    # `rest` of the remaining sum; a log inflation covers inner exponents
-    # sitting at real part exactly 1
-    sr = complex(s[-1]).real
-    tail = M ** (1.0 - sr) / (sr - 1.0)
-    if any(complex(v).real == 1.0 for v in s[:-1]):
-        tail *= (1.0 + math.log(M)) ** (len(s) - 1)
-    return tail * float(abs(rest))
+def _tail_bound(s: Sequence[Number], M: int, star: bool, sums: tuple) -> tuple[float, bool]:
+    """(bound, heuristic) on the distance from the truncated value at M to
+    the limit, from the kernel's stage sums.
+
+    With sigma the real parts, A_t the truncated value of sigma[:t] (A_0 = 1)
+    and T_0 = 0, the tail of sigma[:t] is at most
+
+        T_t = (A_(t-1) + T_(t-1)) * M^(1 - sigma_t) / (sigma_t - 1):
+
+    past M the outermost index weighs at most that integral, times the
+    whole inner series, which is its value at M plus its own tail. A
+    complex term is bounded by its real-part term. This is proved when
+    every prefix sigma[:t] converges. Where one does not, the bound is the
+    integral times the inner value at M, inflated by (1 + ln M)^(r-1) when
+    an inner real part is exactly 1: a heuristic.
+    """
+    sigma = tuple(complex(v).real for v in s)
+    if not all(check_ez_domain(sigma[:t]) for t in range(1, len(s))):
+        tail = M ** (1.0 - sigma[-1]) / (sigma[-1] - 1.0)
+        if 1.0 in sigma[:-1]:
+            tail *= (1.0 + math.log(M)) ** (len(s) - 1)
+        return tail * float(abs(sums[-1])), True
+    if sigma != s and len(s) > 1:
+        # the stage sums are complex: sum the real parts once more
+        terms, sums = _chains(sigma[:-1], M, star, False)
+        sums = (*sums, terms.sum())
+    bound = 0.0
+    for A, st in zip((1.0, *sums), sigma):
+        bound = (A + bound) * M ** (1.0 - st) / (st - 1.0)
+    return float(bound), False
 
 
 def eval_ez(s: Sequence[Number], cfg: TruncationConfig, star: bool = False) -> EvalResult:
     """Truncated Euler-Zagier value with a tail bound.
 
-    The interval value +- tail_bound contains the limit whenever all real
-    parts are >= 1 and the convergence condition holds.
+    The interval value +- tail_bound contains the limit, a proved bound
+    (heuristic false), whenever every prefix s[:t] of the exponents is in
+    the convergence domain, that is every real part is > 1. Otherwise the
+    bound is a heuristic (heuristic true), which can miss the limit.
     """
     s = tuple(s)
     if not s:
@@ -328,4 +362,5 @@ def eval_ez(s: Sequence[Number], cfg: TruncationConfig, star: bool = False) -> E
     value, rest = _ez_value(s, cfg.M, star, exact)
     if exact:
         return EvalResult(value, None, cfg.M)
-    return EvalResult(value, _tail_bound(s, cfg.M, rest), cfg.M, note=note)
+    bound, heuristic = _tail_bound(s, cfg.M, star, rest)
+    return EvalResult(value, bound, cfg.M, heuristic=heuristic, note=note)

@@ -42,8 +42,8 @@ from .mzv import (
     _arithmetic,
     _chains,
     _exact_exponents,
-    _pow_vector,
-    _running_sums,
+    _powers,
+    _refuse_exact_job,
     _truncated_result,
 )
 from .partitions import FrobeniusForm
@@ -113,9 +113,6 @@ def check_root_domain(args: RootZetaArgs) -> bool:
 _GRID_BLOCK = 1 << 20
 # box points one job may sum, at M and at 2M when floating (~8 s of floats)
 _MAX_BOX_POINTS = 1 << 30
-# exact box points times the bits of their denominator: at 1.4-3.6 ns per
-# point-bit (2 vCPU), at most about 15 s of numerators
-_MAX_EXACT_POINT_BITS = 1 << 32
 
 
 def _grid_sum(args: RootZetaArgs, M: int, d: int, x, exact: bool) -> Number:
@@ -132,7 +129,7 @@ def _grid_sum(args: RootZetaArgs, M: int, d: int, x, exact: bool) -> Number:
     with L the lcm of the bases B = q*v + p, a table holds (q*L // B)^s over
     L^s, and L^s at base 0, so the box is one Fraction over L^(sum of s).
     A point's cost grows with the bits of that denominator, so an exact box
-    is refused by points times bits, before any table is built.
+    is refused by points times predicted bits, before L is computed.
     """
     r = args.r
     lo = [0 if k <= d else 1 for k in range(1, r + 1)]
@@ -140,18 +137,16 @@ def _grid_sum(args: RootZetaArgs, M: int, d: int, x, exact: bool) -> Number:
         exponents = _exact_exponents(args.s.values())
         p, q = (0, 1) if x is None else Fraction(x).as_integer_ratio()
         bases = range(p, p + q * r * M + 1, q)
+        _refuse_exact_job(math.prod(M + 1 - b for b in lo), bases[-1], sum(exponents))
         L = math.lcm(*filter(None, bases))
         D = L ** sum(exponents)
-        points, bits = math.prod(M + 1 - b for b in lo), D.bit_length()
-        if points * bits > _MAX_EXACT_POINT_BITS:
-            raise ValueError(f"job too large (predicted {points} box points of {bits}-bit numerators); lower M")
         quotients = [q * L // B if B else L for B in bases]
         tables = {pair: np.array([n**s for n in quotients], dtype=object) for pair, s in zip(args.s, exponents) if s}
         dtype, elems = object, _GRID_BLOCK * 8 // (8 + sys.getsizeof(D))
     else:
         tables = {
-            pair: np.concatenate(([1.0], _pow_vector(s, r * M))) if x is None
-            else _pow_vector(s, r * M + 1, float(x) - 1.0)
+            pair: np.concatenate(([1.0], _powers(s, np.arange(1.0, r * M + 1.0)))) if x is None
+            else _powers(s, np.arange(1.0, r * M + 2.0) + (float(x) - 1.0))
             for pair, s in args.s.items() if s != 0
         }
         dtype, elems = np.result_type(float, *tables.values()), _GRID_BLOCK
@@ -240,9 +235,10 @@ def chain_determinant(frobenius: FrobeniusForm, assignment: ContentAssignment, M
                                     * weak chain from m over z_1..z_p_k.
 
     Both chains share the bound M with m (the coupled truncation), so the
-    series equals the Schur sum with every entry <= M. Each comes straight
-    from mzv's chain kernel run down from the value M: the leg's terms over
-    (z_0, z_-1, ..., z_-q_j), and the running sums of the arm's weak terms.
+    series equals the Schur sum with every entry <= M. Each is one call of
+    mzv's chain kernel run down from the value M: the leg's strict terms over
+    (z_0, z_-1, ..., z_-q_j), and the arm's weak terms over (0, z_1, ...,
+    z_p_k), whose first index weighs m^0 = 1.
     The matrix is legs @ arms.T in either arithmetic. exact=True (integer
     exponents only) forms it from integer numerators; every permutation
     term then has the product of the chains' denominators, so one Fraction
@@ -252,21 +248,12 @@ def chain_determinant(frobenius: FrobeniusForm, assignment: ContentAssignment, M
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    legs, arms, rests = [], [], []
-    for q in frobenius.q:
-        terms, rest = _chains(assignment.sequence(range(0, -q - 1, -1)), M, False, exact, down=True)
-        legs.append(terms)
-        rests.append(rest)
-    for p in frobenius.p:
-        if not p:
-            arms.append(np.ones(M, dtype=object if exact else float))
-            continue
-        terms, rest = _chains(assignment.sequence(range(1, p + 1)), M, True, exact, down=True)
-        arms.append(_running_sums(terms, down=True))
-        rests.append(rest)
+    z = assignment.sequence
+    legs, leg_rests = zip(*(_chains(z(range(0, -q - 1, -1)), M, False, exact, down=True) for q in frobenius.q))
+    arms, arm_rests = zip(*(_chains((0, *z(range(1, p + 1))), M, True, exact, down=True) for p in frobenius.p))
     legs, arms = np.stack(legs), np.stack(arms)
     if exact:
-        return _det([list(map(Fraction, row)) for row in (legs @ arms.T).tolist()]) / math.prod(rests)
+        return _det([list(map(Fraction, row)) for row in (legs @ arms.T).tolist()]) / math.prod(leg_rests + arm_rests)
     # the determinant can be ~1e4 times smaller than its terms ((3,3) with
     # z_-1..z_2 = 1, 4, 4, 1 at M = 30), which costs four digits in double
     # precision. Rounding in the chains is not amplified that way, only

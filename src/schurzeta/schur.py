@@ -33,7 +33,7 @@ from .mzv import (
     _chains,
     _exact_exponents,
     _lcm_upto,
-    _running_sums,
+    _refuse_exact_job,
     _truncated_result,
 )
 from .partitions import Partition, SkewShape
@@ -111,10 +111,12 @@ def _refuse_outside_W_lambda(vt: VariableTableau) -> None:
 # right end of a row they fold into a weak suffix chain over the last placed
 # cell, at the left end into a weak prefix chain in the weight of the first
 # placed cell, and a row of such cells into one scalar, its truncated
-# zeta-star value. All three, and a cell's weight m^(-s), come from mzv's one
-# chain kernel, mzv._chains, in either arithmetic: its running sums up for
-# the prefix, down for the suffix, the sum of its terms for the scalar, and
-# its depth-1 terms for a weight. So the state holds M ** w entries, w at
+# zeta-star value. Each of the three, and a cell's weight m^(-s), is one call
+# of mzv's chain kernel, mzv._chains, in either arithmetic: the weak chain
+# up over the prefix cells and the first placed cell is that cell's weight,
+# the weak chain (0, suffix cells) down is the suffix, its first index
+# weighing m^0 = 1, the sum of the row's terms is the scalar, and depth-1
+# terms are any other weight. So the state holds M ** w entries, w at
 # most one more than the sum of the row's overlaps with its neighbours, and
 # a reversed hook, whose bottom row's free cells fold into one prefix chain,
 # stays at M.
@@ -122,6 +124,8 @@ def _refuse_outside_W_lambda(vt: VariableTableau) -> None:
 # In exact mode the state is a numpy object array of Python ints, each a
 # numerator over L^K, L = lcm(1..M) and K the sum of the exponents: a cell
 # with exponent e weighs L^e // m^e, and one Fraction is built at the end.
+# Before L is computed, a job past mzv's exact budget, M numerators per cell,
+# is refused.
 # ---------------------------------------------------------------------------
 
 
@@ -215,23 +219,14 @@ def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool) -> Number:
     shape = vt.shape
     value = vt.cell_values
     if exact:
-        D = _lcm_upto(M) ** sum(_exact_exponents(value.values()))
+        K = sum(_exact_exponents(value.values()))
+        _refuse_exact_job(M * len(value), M, K)
+        D = _lcm_upto(M) ** K
         # an entry is a pointer to a numerator of about D's size
         win = _RowWindow(M, object, 2**31 // (8 + sys.getsizeof(D)))
     else:
         dtype = complex if any(isinstance(v, complex) and v.imag for v in value.values()) else float
         win = _RowWindow(M, dtype, 2**31 // np.dtype(dtype).itemsize)
-
-    def weight(s):
-        return _chains([s], M, True, exact)[0]
-
-    def chain(svals, down):
-        # entry v - 1 sums the weak chains over svals ending at v or below
-        # (up) or starting at v or above (down)
-        return _running_sums(_chains(svals, M, True, exact, down)[0], down)
-
-    def free_row(svals):
-        return _chains(svals, M, True, exact)[0].sum()
 
     spans = [shape.row_span(i) for i in range(1, shape.n_rows + 1)]
     b_prev = 0  # right end of the adjacent nonempty row above
@@ -256,14 +251,10 @@ def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool) -> Number:
             c1 += 1
         if c1 == c0:
             c0 = a + 1
-        prefix = None
-        if a + 1 < c1 < c0:
-            # prefix[v - 1] sums the weak chains n_(a+1) <= ... <= n_(c1-1) <= v
-            prefix = chain([value[i, c] for c in range(a + 1, c1)], down=False)
         for c in range(c1, c0):
-            w = weight(value[i, c])
-            if c == c1 and prefix is not None:
-                w = w * prefix
+            # the cell's weight m^(-s); the first placed cell's also sums the
+            # weak chains of the free cells to its left up to its value
+            w = _chains([value[i, k] for k in range(a + 1 if c == c1 else c, c + 1)], M, True, exact)[0]
             above = ("p", c) if ("p", c) in win.live else None
             left = ("u", c - 1) if c > c1 else None
             # a left neighbour still wanted by the next row stays live under a
@@ -279,9 +270,10 @@ def eval_schur_truncated(vt: VariableTableau, M: int, exact: bool) -> Number:
         if c0 <= b:
             svals = [value[i, c] for c in range(c0, b + 1)]
             if c0 == a + 1:
-                win.scale(free_row(svals))
+                win.scale(_chains(svals, M, True, exact)[0].sum())
             else:
-                win.scale_axis(("u", c0 - 1), chain(svals, down=True))
+                # entry v - 1 sums the weak chains over svals from v or above
+                win.scale_axis(("u", c0 - 1), _chains([0, *svals], M, True, exact, down=True)[0])
         for lab in list(win.live):
             kind, c = lab
             if kind == "u" and c > b_next:

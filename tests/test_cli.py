@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -442,6 +443,28 @@ def test_eval_rootzeta_refuses_an_oversized_box(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "error"
     assert out["error"] == "job too large (predicted 9000000000 box points); lower M"
+
+
+@pytest.mark.parametrize(
+    "argv,predicted",
+    [
+        (["eval-mzv", "--args", "2"], "1000000 cells of 2997602-bit"),
+        (["eval-rootzeta", "--first-row", "2"], "1000000 cells of 2997602-bit"),
+        # a skew shape takes the row window; exponents 3 + 2 + 2
+        (["eval-schur", "--shape", "2,2", "--inner", "1", "--content", "0=3,1=2,-1=2"], "3000000 cells of 10491607-bit"),
+    ],
+    ids=["chains", "box", "row-window"],
+)
+def test_an_exact_job_past_the_budget_is_refused_before_any_lcm(argv, predicted, capsys, monkeypatch):
+    # lcm(1..10^6) alone runs for minutes, so the refusal must come first
+    def no_lcm(*args):
+        raise AssertionError("lcm computed before the refusal")
+
+    monkeypatch.setattr(math, "lcm", no_lcm)
+    assert cli.main([*argv, "--M", "1000000", "--exact"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert out["error"] == f"job too large (predicted {predicted} numerators); lower M"
 
 
 def test_eval_schur_cli(tmp_path, capsys):

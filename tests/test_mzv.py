@@ -16,6 +16,7 @@ from schurzeta.mzv import (
     check_ez_domain,
     eval_ez,
     eval_ez_truncated,
+    exact_exponent,
 )
 
 
@@ -76,9 +77,9 @@ def reference_truncated_float(s, M, star):
         return m ** (-float(complex(e).real))
 
     A = powers(s[0])
-    rest = 1.0
+    rest = ()
     for sj in s[1:]:
-        rest = A.sum()
+        rest += (A.sum(),)
         cs = np.cumsum(A)
         if not star:
             cs = np.concatenate((np.zeros(1, dtype=cs.dtype), cs[:-1]))
@@ -109,7 +110,7 @@ def test_float_recurrence_is_bit_identical_to_the_fresh_array_reference(s, M, st
     if check_ez_domain(s):
         res = eval_ez(s, TruncationConfig(M=M), star=star)
         assert res.value == ref_value
-        assert res.tail_bound == _tail_bound(s, M, ref_rest)
+        assert (res.tail_bound, res.heuristic) == _tail_bound(s, M, star, ref_rest)
 
 
 @pytest.mark.parametrize(
@@ -175,6 +176,26 @@ def test_exact_sum_equals_the_fused_loop(s, M, star):
     assert value == reference_truncated_exact(s, M, star)
 
 
+@given(st.lists(EXPONENTS, min_size=1, max_size=3), st.integers(min_value=1, max_value=300), st.booleans())
+@example([2, 3], 5, True)
+@example([0, 4, 1], 7, True)
+@example([2 + 1j, 1.5], 7, False)
+@example([2 + 0j, 3], 7, False)
+@settings(max_examples=100, deadline=None)
+def test_a_weak_step_into_exponent_zero_takes_the_running_sums(s, M, exact):
+    # the rule that the chain determinant's arms and the row window's fold
+    # chains rely on. Floating entries are bit for bit equal but for the sign
+    # of a zero: a complex exponent's m = 1 term can have imaginary part -0.0,
+    # which the product with 1 + 0j makes +0.0
+    exact = exact and all(exact_exponent(v) is not None for v in s)
+    for down in (False, True):
+        terms = _chains(s, M, True, exact, down)[0]
+        running = np.cumsum(terms[::-1])[::-1] if down else np.cumsum(terms)
+        zero = _chains((0, *s) if down else (*s, 0), M, True, exact, down)[0]
+        assert zero.dtype == running.dtype
+        assert zero.tolist() == running.tolist()
+
+
 def test_float_matches_exact():
     for s, star in [((2, 3), False), ((2, 2), True), ((1, 2), False)]:
         exact = eval_ez_truncated(s, 50, star, exact=True)
@@ -214,20 +235,29 @@ def test_log_factor_applies_at_re_one():
     M = 1000
     plain = eval_ez([2, 2], TruncationConfig(M=M))
     logged = eval_ez([1, 3], TruncationConfig(M=M))
-    # same integral rule, but the inner exponent 1 triggers the log inflation
+    # the inner series of (1, 3) diverges, so its bound is the heuristic
+    # integral rule, with the log inflation for the inner exponent 1
     base = M ** (1 - 3) / (3 - 1) * abs(eval_ez_truncated([1.0], M, exact=False))
-    assert logged.tail_bound == pytest.approx(base * (1 + math.log(M)))
-    assert plain.tail_bound == pytest.approx(M ** (-1) * abs(eval_ez_truncated([2.0], M, exact=False)))
+    assert logged.tail_bound == pytest.approx(base * (1 + math.log(M))) and logged.heuristic
+    # (2, 2) is proved: the integral times the inner value at M plus its tail
+    inner = eval_ez_truncated([2.0], M, exact=False) + M ** (-1)
+    assert plain.tail_bound == pytest.approx(M ** (-1) * inner) and not plain.heuristic
 
 
 def second_pass_tail_bound(s, M, star):
-    """The tail bound with the remaining sum s[:-1] summed again in complex:
-    the reference for the bound that reuses the first pass."""
-    sr = complex(s[-1]).real
-    tail = M ** (1.0 - sr) / (sr - 1.0)
-    if any(complex(v).real == 1.0 for v in s[:-1]):
-        tail *= (1.0 + math.log(M)) ** (len(s) - 1)
-    return tail * abs(eval_ez_truncated([complex(v) for v in s[:-1]], M, star, exact=False))
+    """(bound, heuristic) with every inner sum summed again on its own, the
+    real parts' prefixes for the proved bound and the complex s[:-1] for the
+    heuristic one: the reference for the bound that reuses the first pass."""
+    sigma = [complex(v).real for v in s]
+    if min(sigma[:-1]) <= 1:
+        tail = M ** (1.0 - sigma[-1]) / (sigma[-1] - 1.0)
+        if 1.0 in sigma[:-1]:
+            tail *= (1.0 + math.log(M)) ** (len(s) - 1)
+        return tail * abs(eval_ez_truncated([complex(v) for v in s[:-1]], M, star, exact=False)), True
+    bound = 0.0
+    for t, e in enumerate(sigma):
+        bound = (eval_ez_truncated(sigma[:t], M, star, exact=False) + bound) * M ** (1.0 - e) / (e - 1.0)
+    return bound, False
 
 
 @pytest.mark.parametrize("star", [False, True], ids=["strict", "star"])
@@ -241,7 +271,31 @@ def test_tail_bound_reuses_the_remaining_sum(s, star):
     res = eval_ez(s, TruncationConfig(M=M), star=star)
     assert res.value == eval_ez_truncated(s, M, star, exact=False)
     assert type(res.tail_bound) is float
-    assert res.tail_bound == pytest.approx(second_pass_tail_bound(s, M, star), rel=1e-12)
+    bound, heuristic = second_pass_tail_bound(s, M, star)
+    assert res.tail_bound == pytest.approx(bound, rel=1e-12) and res.heuristic == heuristic
+
+
+@given(
+    st.lists(st.floats(min_value=1.01, max_value=4.0), min_size=1, max_size=4),
+    st.sampled_from([10, 100, 1000]),
+    st.booleans(),
+)
+@example([1.05, 1.05, 2.5], 1000, False)
+@settings(max_examples=60, deadline=None)
+def test_a_proved_tail_bound_holds_the_lower_bound_of_the_error(s, M, star):
+    # every term is positive, so v(8M) - v(M) is at most the true error
+    res = eval_ez(s, TruncationConfig(M=M), star=star)
+    assert not res.heuristic
+    assert res.tail_bound >= eval_ez_truncated(s, 8 * M, star, exact=False) - res.value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("M", [10, 100, 1000])
+def test_the_tail_bound_contains_zeta_of_twos(n, M):
+    # zeta({2}^n) = pi^(2n) / (2n + 1)!
+    res = eval_ez([2] * n, TruncationConfig(M=M))
+    assert not res.heuristic
+    assert abs(math.pi ** (2 * n) / math.factorial(2 * n + 1) - res.value) <= res.tail_bound
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=10, max_value=200))

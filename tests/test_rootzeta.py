@@ -355,7 +355,7 @@ def test_exact_grid_sum_memory_is_bounded():
         (floating(1000), 0, f"{1000**3 + 2000**3} box points"),
         (exact(1100), 3, f"{1101**3} box points"),
         # under 2^30 points, but each carries numerators over lcm(1..3000)^12
-        (exact(1000), 0, f"{1000**3} box points of 51956-bit numerators"),
+        (exact(1000), 0, f"{1000**3} cells of 53969-bit numerators"),
     ],
     ids=["floating-at-M-and-2M", "exact-zero-block", "exact-numerator-bits"],
 )
