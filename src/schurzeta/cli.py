@@ -54,6 +54,8 @@ DEFAULTS = {"M": 1000, "tolerance": 1e-8, "mode": "floating", "format": "json"}
 VERIFY_IDENTITIES = ("hook1", "hook2", "giambelli", "thm41", "thm41-reversed", "thm42", "antihook")
 # the parameters an identity reads besides its name; the others read shape and content
 _VERIFY_READS = {"hook1": ("p", "q", "content"), "hook2": ("p", "q", "content"), "antihook": ("bottom", "column")}
+# the identities whose other side is the permutation-sum expansion, and its variant
+_EXPANSION_VARIANTS = {"hook1": "standard", "thm41": "standard", "hook2": "reversed", "thm41-reversed": "reversed"}
 
 
 class UsageError(ValueError):
@@ -112,7 +114,7 @@ def _parse_value(v, field: str):
 def _parse_content(text) -> dict:
     """'0=3,1=2,-1=2' or a JSON-style mapping into {index: value}."""
     if isinstance(text, dict):
-        return {int(k): _parse_value(v, "content") for k, v in text.items()}
+        return {_parse_index(k): _parse_value(v, "content") for k, v in text.items()}
     out = {}
     for item in str(text).split(","):
         if not item.strip():
@@ -120,8 +122,15 @@ def _parse_content(text) -> dict:
         if "=" not in item:
             raise UsageError(f"content entries look like k=value, got {item!r}")
         k, v = item.split("=", 1)
-        out[int(k)] = _parse_number(v)
+        out[_parse_index(k)] = _parse_number(v)
     return out
+
+
+def _parse_index(k) -> int:
+    try:
+        return int(k)
+    except ValueError:
+        raise UsageError(f"content index {k!r} is not an integer") from None
 
 
 def _env(name: str, default, cast):
@@ -375,22 +384,21 @@ def _run_verify(spec: JobSpec) -> dict:
     _refuse_unread(params, f"verify {identity}", ("identity", *_VERIFY_READS.get(identity, ("shape", "content"))))
     content = ContentAssignment(_parse_content(params.get("content") or {}))
     expr = None
-    if identity in ("hook1", "hook2"):
-        p = int(_require(params, "p", "verify"))
-        q = int(_require(params, "q", "verify"))
-        vt = VariableTableau.from_content(Partition.hook(p, q), content)
-        expr = expand_hook(p, q, identity)
-    elif identity == "antihook":
+    if identity == "antihook":
         bottom = [_parse_value(v, "bottom") for v in _require(params, "bottom", "verify")]
         column = [_parse_value(v, "column") for v in _require(params, "column", "verify")]
         vt = antihook_tableau(bottom, column)
         content = ContentAssignment(_antihook_content(bottom, column))
         expr = expand_antihook(len(bottom) - 1, len(column))
     else:
-        lam = _parse_partition(_require(params, "shape", "verify"))
+        if identity in ("hook1", "hook2"):
+            # a hook is the one-slot Giambelli shape
+            lam = Partition.hook(int(_require(params, "p", "verify")), int(_require(params, "q", "verify")))
+        else:
+            lam = _parse_partition(_require(params, "shape", "verify"))
         vt = VariableTableau.from_content(lam, content)
-        if identity in ("thm41", "thm41-reversed"):
-            expr = expand_giambelli(lam, "standard" if identity == "thm41" else "reversed")
+        if identity in _EXPANSION_VARIANTS:
+            expr = expand_giambelli(lam, _EXPANSION_VARIANTS[identity])
 
     exact, note = _arithmetic(spec.cfg, vt.cell_values.values())
     if not exact:

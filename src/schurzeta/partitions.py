@@ -43,13 +43,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def contains(self, i: int, j: int) -> bool:
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
-
-    def cells(self) -> list[tuple[int, int]]:
-        """All cells in row-major order."""
-        return [(i, j) for i, p in enumerate(self.parts, 1) for j in range(1, p + 1)]
-
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: lambda'_i = #{j : lambda_j >= i}."""
         if not self.parts:
@@ -72,30 +65,6 @@ class Partition:
         p = tuple(self.parts[i - 1] - i for i in range(1, n + 1))
         q = tuple(con.parts[i - 1] - i for i in range(1, n + 1))
         return FrobeniusForm(p, q)
-
-    @classmethod
-    def from_frobenius(cls, form: "FrobeniusForm") -> "Partition":
-        """Inverse of :meth:`frobenius`."""
-        n = form.n
-        rows = [form.p[i - 1] + i for i in range(1, n + 1)]
-        # rows below the diagonal block are read off the leg lengths:
-        # column j has length q_j + j, so row i > n holds #{j : q_j + j >= i} cells
-        i = n + 1
-        while True:
-            row = sum(1 for j in range(1, n + 1) if form.q[j - 1] + j >= i)
-            if row == 0:
-                break
-            rows.append(row)
-            i += 1
-        return cls(tuple(rows))
-
-    def corners(self) -> list[tuple[int, int]]:
-        """Removable cells (i, lambda_i) with lambda_i > lambda_{i+1}."""
-        out = []
-        for i, p in enumerate(self.parts, 1):
-            if p > self.part(i + 1):
-                out.append((i, p))
-        return out
 
     def as_skew(self) -> "SkewShape":
         return SkewShape(self, Partition(()))

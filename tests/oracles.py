@@ -1,6 +1,7 @@
 """Test-only reference code: the semi-standard tableaux enumerated one by
-one, the Giambelli determinant as a cofactor expansion, and the Schur sum
-at a constant exponent from power sums. The package sums and expands
+one, like terms collected in a plain dict, the Giambelli determinant as a
+cofactor expansion, and the Schur sum at a constant exponent from power
+sums and from elementary symmetric functions. The package sums and expands
 without them; the tests compare against them.
 """
 
@@ -10,10 +11,42 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from schurzeta.expressions import FormalExpr, HookEntry, expand_hook, normalize
-from schurzeta.partitions import Partition, SkewShape
+import numpy as np
+
+from schurzeta.expressions import FormalExpr, FormalTerm, HookEntry, expand_hook
+from schurzeta.partitions import FrobeniusForm, Partition, SkewShape
+
+
+def partition_from_frobenius(form: FrobeniusForm) -> Partition:
+    """The partition whose Frobenius form is form."""
+    n = form.n
+    rows = [form.p[i - 1] + i for i in range(1, n + 1)]
+    # rows below the diagonal block are read off the leg lengths:
+    # column j has length q_j + j, so row i > n holds #{j : q_j + j >= i} cells
+    i = n + 1
+    while True:
+        row = sum(1 for j in range(1, n + 1) if form.q[j - 1] + j >= i)
+        if row == 0:
+            break
+        rows.append(row)
+        i += 1
+    return Partition(tuple(rows))
+
+
+def collect_terms(terms: Iterable[FormalTerm]) -> FormalExpr:
+    """Like terms collected in a dict keyed on sorted tuples of symbol
+    sort_keys, zero coefficients dropped, terms ordered by their number of
+    factors and then by those keys."""
+    collected: dict[tuple, int] = {}
+    factors_of: dict[tuple, tuple] = {}
+    for t in terms:
+        key = tuple(sorted(f.sort_key for f in t.factors))
+        collected[key] = collected.get(key, 0) + t.coefficient
+        factors_of[key] = t.factors
+    keys = sorted((key for key, c in collected.items() if c), key=lambda key: (len(key), key))
+    return FormalExpr(tuple(FormalTerm(collected[key], factors_of[key]) for key in keys))
 
 
 @dataclass
@@ -108,7 +141,7 @@ def expand_grid_determinant(grid: Sequence[Sequence[HookEntry]], variant: str = 
             total = total + (m[h][n - 1] * det(minor)).scaled((-1) ** (h + 1 + n))
         return total
 
-    return normalize(det(mat))
+    return collect_terms(det(mat).terms)
 
 
 def power_sum_schur(outer: Sequence[int], inner: Sequence[int], s: int, M: int) -> Fraction:
@@ -138,3 +171,29 @@ def power_sum_schur(outer: Sequence[int], inner: Sequence[int], s: int, M: int) 
         sign = (-1) ** sum(a > b for a, b in combinations(sigma, 2))
         total += sign * math.prod(entry(i, j) for i, j in enumerate(sigma))
     return total
+
+
+def e_form_schur(outer: Sequence[int], inner: Sequence[int], s: float, M: int) -> float:
+    """The skew Schur function s_{outer/inner}(x_1, ..., x_M) at x_m = m^(-s)
+    in floating point, from the dual Jacobi-Trudi form
+    det[e_(outer'_i - inner'_j - i + j)] over the conjugates.
+
+    Each e_k(x_1, ..., x_m) is built by e_k <- e_k + x_m e_(k-1) for m = 1..M,
+    which adds positive terms only and so has none of the cancellation that
+    Newton's identities bring to floating power sums.
+    """
+    con = Partition(tuple(outer)).conjugate().parts
+    n = len(con)
+    icon = [*Partition(tuple(inner)).conjugate().parts] + [0] * n
+    top = con[0] - icon[n - 1] + n - 1 if n else 0  # the largest index of an e
+    e = [1.0] + [0.0] * top
+    for m in range(1, M + 1):
+        x = m ** -s
+        for k in range(top, 0, -1):
+            e[k] += x * e[k - 1]
+
+    def entry(i, j):
+        d = con[i] - icon[j] - i + j
+        return e[d] if d >= 0 else 0.0
+
+    return float(np.linalg.det(np.array([[entry(i, j) for j in range(n)] for i in range(n)]))) if n else 1.0

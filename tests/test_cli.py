@@ -110,6 +110,19 @@ def test_expand_terms_are_pinned(args, digest, capsys):
     assert hashlib.sha256(json.dumps(terms, sort_keys=True).encode()).hexdigest() == digest
 
 
+OVERSIZED_EXPANSIONS = [
+    ("giambelli --shape 6,6,6,6,6,6", "expansion too large (518400 raw terms, more than 50000)"),
+    ("giambelli --shape 7,7,7,7,7,7,7 --collected", "expansion too large (25401600 raw terms, more than 1000000)"),
+]
+
+
+@pytest.mark.parametrize("args,error", OVERSIZED_EXPANSIONS, ids=[a for a, _ in OVERSIZED_EXPANSIONS])
+def test_an_oversized_expansion_is_refused_with_exit_one(args, error, capsys):
+    assert cli.main(["expand", *args.split()]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["error"]) == ("error", error)
+
+
 def test_report_round_trips_to_jobspec(capsys):
     code = cli.main(["eval-mzv", "--args", "2,3", "--star", "--M", "50", "--exact"])
     out = json.loads(capsys.readouterr().out)
@@ -520,6 +533,9 @@ BAD_INPUTS = [
     (["job", "{tmp}/job.json"], {"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"M": 2.9}}),
     (["job", "{tmp}/job.json"],
      {"command": "eval-mzv", "params": {"args": [2]}, "cfg": {"tolerance": True}}),
+    # content indices that are not integers
+    (["eval-schur", "--shape", "2", "--content", "a=2"], None),
+    (["eval-schur", "--shape", "2", "--content", "1.5=2"], None),
 ]
 
 
@@ -554,6 +570,7 @@ REFUSALS_NAMING_THE_VALUE = [
     (["eval-mzv", "--args", "2,-inf", "--M", "5"], None, "number '-inf' is not finite"),
     (["eval-schur", "--shape", "2,2", "--content", "0=nan,1=2,-1=2"], None, "number 'nan' is not finite"),
     (["eval-mzv", "--args", "2", "--tolerance", "inf"], None, "tolerance must be positive and finite, got inf"),
+    (["eval-schur", "--shape", "2", "--content", "0=2,a=2"], None, "content index 'a' is not an integer"),
 ]
 
 

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import expand_grid_determinant
+from oracles import collect_terms, expand_grid_determinant, partition_from_frobenius
+from schurzeta import expressions
 from schurzeta.expressions import (
     FormalExpr,
     FormalTerm,
@@ -38,28 +39,14 @@ def test_symbol_validation():
 
 def test_expand_hook_examples():
     e = expand_hook(0, 1, "hook1")
-    expected = normalize(
-        FormalExpr(
-            (
-                term(1, ("star", [0]), ("strict", [-1])),
-                term(-1, ("star", [-1, 0])),
-            )
-        )
-    )
+    expected = collect_terms((term(1, ("star", [0]), ("strict", [-1])), term(-1, ("star", [-1, 0]))))
     assert e == expected
 
     assert expand_hook(0, 0, "hook1") == FormalExpr((term(1, ("star", [0])),))
     assert expand_hook(0, 0, "hook2") == FormalExpr((term(1, ("strict", [0])),))
 
     e = expand_hook(1, 1, "hook2")
-    expected = normalize(
-        FormalExpr(
-            (
-                term(1, ("strict", [0, -1]), ("star", [1])),
-                term(-1, ("strict", [1, 0, -1])),
-            )
-        )
-    )
+    expected = collect_terms((term(1, ("strict", [0, -1]), ("star", [1])), term(-1, ("strict", [1, 0, -1]))))
     assert e == expected
 
     with pytest.raises(ValueError):
@@ -91,7 +78,6 @@ def test_giambelli_grid():
     grid = giambelli_det_expr(Partition((2, 2)))
     assert grid == [[HookEntry(1, 1), HookEntry(1, 0)], [HookEntry(0, 1), HookEntry(0, 0)]]
     assert grid[0][0].shape == Partition((2, 1))
-    assert grid[0][0].contents == (-1, 0, 1)
 
     grid = giambelli_det_expr(Partition((6, 4, 4, 2, 2)))
     assert [[e.p for e in row] for row in grid] == [[5] * 3, [2] * 3, [1] * 3]
@@ -102,6 +88,55 @@ def test_giambelli_grid():
 
 def test_expand_giambelli_single_cell():
     assert expand_giambelli(Partition((1,))) == expand_hook(0, 0, "hook1")
+    # and every hook is the one-slot Giambelli expansion, in both variants
+    for variant, hook in (("standard", "hook1"), ("reversed", "hook2")):
+        for p in range(7):
+            for q in range(7):
+                assert expand_giambelli(Partition.hook(p, q), variant) == expand_hook(p, q, hook), (p, q)
+
+
+@pytest.mark.parametrize("variant,hook", [("standard", "hook1"), ("reversed", "hook2")])
+def test_hook_expansions_equal_the_reference_collector(variant, hook):
+    # the raw terms of a hook are its one slot's terms
+    for p in range(5):
+        for q in range(5):
+            raw = list(expand_giambelli_terms(Partition.hook(p, q), variant))
+            assert len(raw) == (q + 1 if hook == "hook1" else p + 1)
+            assert expand_hook(p, q, hook) == collect_terms(raw), (p, q)
+
+
+@pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4)])
+def test_antihook_expansion_equals_the_reference_collector(k, l):
+    # term i is (-1)^(k-i) zeta(z_k, ..., z_{i-l}) zeta*(z_{-l}, ..., z_{i-l-1})
+    raw = [
+        term((-1) ** (k - i), ("strict", range(k, i - l - 1, -1)), *([("star", range(-l, i - l))] if i else []))
+        for i in range(k + 1)
+    ]
+    assert expand_antihook(k, l) == collect_terms(raw)
+
+
+def test_an_oversized_expansion_is_refused_before_any_term(monkeypatch):
+    def no_sum(table):
+        raise AssertionError("the permutation sum ran")
+
+    monkeypatch.setattr(expressions, "_permutation_sum", no_sum)
+    # 6! * 6! raw terms, past the uncollected limit but not the collected one
+    with pytest.raises(ValueError, match=r"expansion too large \(518400 raw terms, more than 50000\)"):
+        expand_giambelli_terms(Partition((6,) * 6))
+    with pytest.raises(ValueError, match=r"expansion too large \(25401600 raw terms, more than 1000000\)"):
+        expand_giambelli(Partition((7,) * 7))
+    # the raw count is N! times the product of the diagonal slots' sizes
+    with pytest.raises(ValueError, match=r"\(3628800 raw terms"):
+        expand_giambelli(Partition((7,) * 6), "reversed")
+
+
+def test_a_collection_with_too_many_survivors_is_refused_before_building_them(monkeypatch):
+    lam = Partition((3, 2, 1))
+    survivors = len(expand_giambelli(lam))
+    monkeypatch.setattr(expressions, "_TERM_LIMIT", survivors - 1)
+    monkeypatch.setattr(expressions, "FormalTerm", None)
+    with pytest.raises(ValueError, match=f"expansion too large \\({survivors} collected terms"):
+        expand_giambelli(lam)
 
 
 def test_expand_giambelli_2x2():
@@ -129,7 +164,7 @@ def all_test_shapes(max_pq=3):
         for p in decreasing:
             for q in decreasing:
                 shapes.append(
-                    Partition.from_frobenius(
+                    partition_from_frobenius(
                         FrobeniusForm(tuple(reversed(p)), tuple(reversed(q)))
                     )
                 )
@@ -186,7 +221,7 @@ def test_collected_expansion_equals_normalized_terms_and_cofactors(lam):
     grid = giambelli_det_expr(lam)
     for variant, hook in (("standard", "hook1"), ("reversed", "hook2")):
         collected = expand_giambelli(lam, variant)
-        assert collected == normalize(FormalExpr(tuple(expand_giambelli_terms(lam, variant))))
+        assert collected == collect_terms(expand_giambelli_terms(lam, variant))
         assert collected == expand_grid_determinant(grid, hook)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import Tableau, enumerate_ssyt
+from oracles import Tableau, enumerate_ssyt, partition_from_frobenius
 from schurzeta.partitions import FrobeniusForm, Partition, SkewShape
 
 
@@ -23,7 +23,7 @@ def hook_content_count(lam: Partition, n: int) -> Fraction:
     """Independent SSYT-count oracle: prod over cells of (n + content) / hook."""
     con = lam.conjugate()
     total = Fraction(1)
-    for i, j in lam.cells():
+    for i, j in lam.as_skew().cells():
         hook = (lam.part(i) - j) + (con.part(j) - i) + 1
         total *= Fraction(n + j - i, hook)
     return total
@@ -71,23 +71,23 @@ def test_frobenius_errors():
 
 
 def test_from_frobenius_examples():
-    assert Partition.from_frobenius(FrobeniusForm((5, 2, 1), (4, 3, 0))) == Partition((6, 4, 4, 2, 2))
-    assert Partition.from_frobenius(FrobeniusForm((0,), (0,))) == Partition((1,))
-    assert Partition.from_frobenius(FrobeniusForm((1, 0), (1, 0))) == Partition((2, 2))
+    assert partition_from_frobenius(FrobeniusForm((5, 2, 1), (4, 3, 0))) == Partition((6, 4, 4, 2, 2))
+    assert partition_from_frobenius(FrobeniusForm((0,), (0,))) == Partition((1,))
+    assert partition_from_frobenius(FrobeniusForm((1, 0), (1, 0))) == Partition((2, 2))
 
 
 @given(partition_strategy())
 def test_frobenius_round_trip(lam):
     if lam.size == 0:
         return
-    assert Partition.from_frobenius(lam.frobenius()) == lam
+    assert partition_from_frobenius(lam.frobenius()) == lam
 
 
 def test_corners():
-    assert Partition((2, 2)).corners() == [(2, 2)]
-    assert Partition((1,)).corners() == [(1, 1)]
+    assert Partition((2, 2)).as_skew().corners() == [(2, 2)]
+    assert Partition((1,)).as_skew().corners() == [(1, 1)]
     for p, q in [(1, 1), (2, 1), (1, 3), (3, 2)]:
-        assert Partition.hook(p, q).corners() == [(1, p + 1), (q + 1, 1)]
+        assert Partition.hook(p, q).as_skew().corners() == [(1, p + 1), (q + 1, 1)]
 
 
 def test_skew_shape():

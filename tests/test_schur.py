@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import enumerate_ssyt, power_sum_schur
+from oracles import e_form_schur, enumerate_ssyt, power_sum_schur
 from schurzeta import schur
 from schurzeta.expressions import expand_antihook, truncated_value
 from schurzeta.mzv import ContentAssignment, ConvergenceError, TruncationConfig, eval_ez_truncated
@@ -403,6 +403,16 @@ def test_chain_determinant_equals_power_sum_schur(parts, s):
     lam = Partition(parts)
     z = ContentAssignment({c: s for c in range(1 - len(lam), lam[0])})
     assert chain_determinant(lam.frobenius(), z, 300, True) == power_sum_schur(lam, (), s, 300)
+
+
+@given(skew_shapes().filter(lambda shape: shape.n_rows <= 4), st.floats(1.5, 3), st.integers(4, 16))
+@settings(max_examples=40, deadline=None)
+def test_floating_eval_schur_equals_the_e_form(shape, s, M):
+    # straight shapes take the chain determinant, skew ones the row window;
+    # M >= the rows keeps every value positive, so that a relative bound holds
+    z = {c: s for c in range(1 - shape.n_rows, shape.outer.part(1))}
+    value = eval_schur(VariableTableau.from_content(shape, z), TruncationConfig(M)).value
+    assert value == pytest.approx(e_form_schur(shape.outer, shape.inner, s, M), rel=1e-12, abs=0)
 
 
 def test_enumeration_sums_the_last_cell_from_its_lower_bound_to_M():
